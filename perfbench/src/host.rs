@@ -1,6 +1,5 @@
 //! What the benchmark reads from the host process: CPU time, peak
-//! resident memory, exact allocation counts, and a scratch directory
-//! that never outlives the run.
+//! resident memory, exact allocation counts, and the run's directory.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
@@ -77,7 +76,37 @@ pub fn process_cpu_s() -> f64 {
     (ticks(14) + ticks(15)) / 100.0
 }
 
-/// The process's resident-set high-water mark (`VmHWM`), in MiB.
+/// Starts a fresh peak-RSS window: hands the allocator's free memory back
+/// to the kernel, then resets `VmHWM` to the current RSS by writing `5`
+/// to `/proc/self/clear_refs` (Linux 4.0 and later). Without it, a
+/// batch's peak would also hold what earlier batches left in the
+/// allocator's free lists, which varies from run to run.
+///
+/// # Errors
+///
+/// A kernel that refuses the reset; `VmHWM` then stays the process's.
+pub fn reset_peak_rss() -> std::io::Result<()> {
+    trim_heap();
+    std::fs::write("/proc/self/clear_refs", "5")
+}
+
+#[cfg(target_env = "gnu")]
+fn trim_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+    }
+    // SAFETY: `malloc_trim` takes no pointers; it only releases free
+    // pages the allocator holds, and is safe to call from any thread.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(target_env = "gnu"))]
+fn trim_heap() {}
+
+/// The resident-set high-water mark (`VmHWM`) since the process started
+/// or the last [`reset_peak_rss`], in MiB.
 pub fn peak_rss_mb() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
     let kb: u64 = status
@@ -88,29 +117,29 @@ pub fn peak_rss_mb() -> f64 {
     kb as f64 / 1024.0
 }
 
-/// A scratch directory under the working directory (stores, sockets),
-/// removed when dropped. Relative, so socket paths stay far below the
+/// The run's own directory under the working directory, for stores and
+/// daemon sockets. Relative, so socket paths stay far below the
 /// Unix-socket path limit wherever the checkout lives.
-pub struct ScratchDir(PathBuf);
+///
+/// It is left in place when the run ends. On the recording machine's
+/// ext4 (mounted with `discard`), deleting a served run's ~1,700 small
+/// store files slowed the next runs' store fills from about 4 ms to
+/// 50–100 ms, for longer than the gap between two runs, so a clean-up
+/// would have landed in the next run's `setup_s`.
+pub struct RunDir(PathBuf);
 
-impl ScratchDir {
+impl RunDir {
     /// Creates `.perfbench-run-<pid>` in the working directory, replacing
     /// any leftover from an earlier process with the same id.
-    pub fn create() -> std::io::Result<ScratchDir> {
+    pub fn create() -> std::io::Result<RunDir> {
         let path = PathBuf::from(format!(".perfbench-run-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir(&path)?;
-        Ok(ScratchDir(path))
+        Ok(RunDir(path))
     }
 
     /// The directory.
     pub fn path(&self) -> &Path {
         &self.0
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
     }
 }

@@ -56,6 +56,26 @@ impl Bench {
         }
     }
 
+    /// Host seconds of one batch (a cold engine run of the whole list,
+    /// or one served request) at the benchmark's first commit, on the
+    /// machine README.md describes.
+    fn nominal_batch_s(self) -> f64 {
+        match self {
+            Bench::SuiteCold => 10.0,
+            Bench::CoverageCold => 3.0,
+            Bench::ServedWarm => 0.005,
+        }
+    }
+
+    /// Batches a run of `seconds` measures: `seconds` over the nominal
+    /// batch time, at least one. The count depends on nothing measured,
+    /// so every commit runs the same batch seeds and the same number of
+    /// requests, and a faster change finishes sooner rather than doing
+    /// more work.
+    pub fn batches(self, seconds: f64) -> u64 {
+        ((seconds / self.nominal_batch_s()).round() as u64).max(1)
+    }
+
     /// The workload's requested job list, duplicates included, with
     /// `seed` folded into every executor seed.
     pub fn jobs(self, programs: &Programs, seed: u64) -> Vec<Job> {
@@ -241,6 +261,15 @@ mod tests {
             let seeds: HashSet<u64> = (0..1000).map(|b| batch_seed(seed, b)).collect();
             assert_eq!(seeds.len(), 1000);
         }
+    }
+
+    #[test]
+    fn batch_counts_follow_seconds_only() {
+        let counts = |seconds| Bench::ALL.map(|b| b.batches(seconds));
+        assert_eq!(counts(40.0), [4, 13, 8000]);
+        assert_eq!(counts(10.0), [1, 3, 2000]);
+        // Never zero, however short the run.
+        assert_eq!(counts(0.001), [1, 1, 1]);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! [--seed N] [--seconds S] [--trace 0|1]`
 //!
 //! Drives the library in one process. An untraced run (`--trace 0`, the
-//! default) repeats the workload's batch for `--seconds` of batch time
-//! and prints the end-to-end metrics; a traced run (`--trace 1`) prints
+//! default) runs a fixed number of the workload's batches, sized so they
+//! take about `--seconds` on the recording machine, and prints the
+//! end-to-end metrics; a traced run (`--trace 1`) prints
 //! the per-layer metrics. Human-readable lines come first; the last line
 //! of stdout is one JSON object: `correct`, `attempted`, `failed` and
 //! `metrics` (`{"name": {"value": v, "unit": u}}`). See README.md.
@@ -141,7 +142,7 @@ fn run_untraced(args: &Args) -> Result<String, String> {
         ("wall_s", mean(&m.batch_s), "s"),
         ("batch_ms_p50", median(&batch_ms), "ms"),
         ("batch_ms_tail", tail.value, "ms"),
-        ("peak_rss_mb", host::peak_rss_mb(), "MB"),
+        ("peak_rss_mb", median(&m.peak_mb), "MB"),
     ];
     let operation = if args.bench == Bench::ServedWarm {
         "requests"
@@ -163,15 +164,18 @@ fn run_untraced(args: &Args) -> Result<String, String> {
     // is twice wall_s (both workers stay busy).
     println!("cpu_s {} s", ratio(m.cpu_s, batches as f64));
     if batches <= 64 {
-        let list: Vec<String> = m.batch_s.iter().map(|s| format!("{s:.3}")).collect();
-        println!("batch_s [{}]", list.join(", "));
+        let list = |v: &[f64]| v.iter().map(|x| format!("{x:.3}")).collect::<Vec<_>>();
+        println!("batch_s [{}]", list(&m.batch_s).join(", "));
+        println!("peak_mb [{}]", list(&m.peak_mb).join(", "));
     }
     println!(
-        "batch_ms_tail is p{} of {} batches ({} beyond it); setup_s is the median of {} set-ups",
+        "batch_ms_tail is p{} of {} batches ({} beyond it); setup_s is the median of {} \
+         set-ups; peak_rss_mb the median of {} peak window(s)",
         tail.percentile,
         tail.samples,
         tail.beyond,
-        m.setup_s.len()
+        m.setup_s.len(),
+        m.peak_mb.len()
     );
     println!(
         "failed_frac {} ({} of {} {operation})",

@@ -1,17 +1,56 @@
-//! The served-warm pieces: a daemon over a store filled in process, and
-//! one closed-loop client request against it.
+//! The served-warm pieces: the in-process outputs a daemon must serve, a
+//! daemon over a store filled with them, and one closed-loop client
+//! request against it.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use confluence_serve::{Server, ServerHandle};
+use confluence_sim::codec::StoreKey;
 use confluence_sim::daemon::{submit_jobs, EngineHost};
-use confluence_sim::experiments::ExperimentConfig;
-use confluence_sim::{Job, SimEngine, SCHEMA_VERSION};
+use confluence_sim::{Job, JobOutput, SimEngine, SCHEMA_VERSION};
 use confluence_store::{Encode, ResultStore};
 
-use crate::jobs::{Bench, Programs};
+use crate::jobs::{self, program_of, Bench, Programs};
+
+/// Executes `jobs` in process on a fresh engine with served-warm's
+/// threads and no store: the outputs of `unique`, in its order, that
+/// every served request must reproduce.
+///
+/// # Errors
+///
+/// An engine that does not execute every unique job exactly once.
+pub fn execute_in_process(
+    programs: &Programs,
+    jobs: &[Job],
+    unique: &[Job],
+) -> Result<Vec<JobOutput>, String> {
+    let engine = SimEngine::new(programs.clone()).with_threads(Bench::ServedWarm.threads());
+    engine.run(jobs);
+    let executed = engine.stats().executed;
+    if executed != unique.len() as u64 {
+        return Err(format!(
+            "in-process run executed {executed} jobs for {} unique",
+            unique.len()
+        ));
+    }
+    Ok(unique
+        .iter()
+        .map(|j| JobOutput::clone(&engine.output(j)))
+        .collect())
+}
+
+/// Seconds each part of one served-warm set-up took.
+#[derive(Clone, Copy, Debug)]
+pub struct SetupParts {
+    /// Generating and translating the daemon's programs.
+    pub programs_s: f64,
+    /// Filling the store, one `ResultStore::save` per unique job.
+    pub fill_s: f64,
+    /// Building the daemon's engine, binding its socket and spawning it.
+    pub start_s: f64,
+}
 
 /// A running in-process daemon and what its clients need.
 pub struct Daemon {
@@ -23,50 +62,63 @@ pub struct Daemon {
     /// Programs a client engine is built over: the daemon's workload
     /// specs, so the handshake fingerprints match.
     pub client_programs: Programs,
-    /// Encoded in-process outputs of the unique jobs, from the fill.
+    /// Encoded outputs of the unique jobs, as the store holds them.
     pub expected: Vec<Vec<u8>>,
 }
 
 impl Daemon {
-    /// Fills a fresh store under `dir` by executing `jobs` in process on
-    /// `programs`, then starts a daemon over that store and freshly
-    /// generated programs (a daemon process never inherits a filler's
-    /// warm programs). `tag` keeps several daemons' files apart.
+    /// One served-warm set-up: generates and translates fresh programs
+    /// (a daemon process never inherits a client's warm programs), fills
+    /// a fresh store under `dir` with `outputs` through
+    /// `ResultStore::save`, keyed as the engine keys them, and starts a
+    /// daemon over both. `tag` keeps several daemons' files apart.
+    /// Returns the daemon and how long each part of the set-up took.
     ///
     /// # Errors
     ///
-    /// A store or socket that cannot be set up, or a fill that does not
-    /// execute every unique job exactly once.
+    /// A store or socket that cannot be set up.
     pub fn start(
         dir: &Path,
         tag: usize,
-        programs: Programs,
-        jobs: &[Job],
+        client_programs: Programs,
         unique: &[Job],
-    ) -> Result<Daemon, String> {
+        outputs: &[JobOutput],
+    ) -> Result<(Daemon, SetupParts), String> {
+        let t = Instant::now();
+        let (programs, _, _) = jobs::generate_programs();
+        let programs_s = t.elapsed().as_secs_f64();
+        let t = Instant::now();
         let store_dir = dir.join(format!("store-{tag}"));
-        let open = || {
-            ResultStore::open(&store_dir, SCHEMA_VERSION)
-                .map_err(|e| format!("cannot open store {}: {e}", store_dir.display()))
-        };
-        let fill = SimEngine::new(programs.clone())
-            .with_threads(Bench::ServedWarm.threads())
-            .with_store(open()?);
-        fill.run(jobs);
-        let executed = fill.stats().executed;
-        if executed != unique.len() as u64 {
-            return Err(format!(
-                "store fill executed {executed} jobs for {} unique",
-                unique.len()
-            ));
+        let store = ResultStore::open(&store_dir, SCHEMA_VERSION)
+            .map_err(|e| format!("cannot open store {}: {e}", store_dir.display()))?;
+        for (job, output) in unique.iter().zip(outputs) {
+            let key = StoreKey {
+                spec: program_of(&programs, job.workload()).spec(),
+                job,
+            };
+            store
+                .save(&key, output)
+                .map_err(|e| format!("store fill failed: {e}"))?;
         }
-        let expected = unique.iter().map(|j| fill.output(j).to_bytes()).collect();
-        drop(fill);
-
-        let engine = SimEngine::new(ExperimentConfig::quick().workloads())
+        let fill_s = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        let engine = SimEngine::new(programs)
             .with_threads(Bench::ServedWarm.threads())
-            .with_store(open()?);
-        Daemon::serve(dir, tag, EngineHost::new(engine, None), programs, expected)
+            .with_store(store);
+        let expected = outputs.iter().map(|o| o.to_bytes()).collect();
+        let daemon = Daemon::serve(
+            dir,
+            tag,
+            EngineHost::new(engine, None),
+            client_programs,
+            expected,
+        )?;
+        let parts = SetupParts {
+            programs_s,
+            fill_s,
+            start_s: t.elapsed().as_secs_f64(),
+        };
+        Ok((daemon, parts))
     }
 
     /// Starts a daemon over `host` on a socket under `dir`.

@@ -39,9 +39,9 @@ use confluence_types::{BlockAddr, VAddr};
 use confluence_uarch::SharedLlc;
 
 use crate::arith::{attribute, mean, median, pool_efficiency, ratio};
-use crate::host::{allocations, count_allocations, process_cpu_s, ScratchDir};
+use crate::host::{allocations, count_allocations, process_cpu_s, RunDir};
 use crate::jobs::{self, program_of, Bench, Programs};
-use crate::served::Daemon;
+use crate::served::{self, Daemon};
 
 /// The tick driver times one cycle in this many.
 const SAMPLE_EVERY: u64 = 64;
@@ -110,10 +110,10 @@ struct SimCounts {
 ///
 /// # Errors
 ///
-/// A set-up that fails (scratch directory, store, socket).
+/// A set-up that fails (run directory, store, socket).
 pub fn run(bench: Bench, seed: u64) -> Result<Traced, String> {
     let mode = ExecMode::from_env();
-    let scratch = ScratchDir::create().map_err(|e| format!("cannot create scratch dir: {e}"))?;
+    let run_dir = RunDir::create().map_err(|e| format!("cannot create the run directory: {e}"))?;
     let mut out = Traced::default();
     let mut m: Vec<Metric> = Vec::new();
 
@@ -213,7 +213,7 @@ pub fn run(bench: Bench, seed: u64) -> Result<Traced, String> {
     m.push(("trace.memo_steps", memo_steps as f64, "count"));
 
     // 4. One untraced batch; its host serves the probes below.
-    let untraced = untraced_batch(bench, &list, &unique, &encoded, scratch.path(), &mut out)?;
+    let untraced = untraced_batch(bench, &list, &unique, &encoded, run_dir.path(), &mut out)?;
 
     // 5a. Tick driver and shard speedup over the suite's timing jobs.
     let suite = jobs::unique(&Bench::SuiteCold.jobs(&programs, seed));
@@ -254,7 +254,7 @@ pub fn run(bench: Bench, seed: u64) -> Result<Traced, String> {
     let structures = structure_costs(&programs, seed, mode);
 
     // 5c. Store, codec, daemon and client calls.
-    let store = store_probe(&programs, &unique, &serial, scratch.path(), &mut out)?;
+    let store = store_probe(&programs, &unique, &serial, run_dir.path(), &mut out)?;
     let serve = serve_probe(&untraced.daemon, &unique, &encoded, &mut out)?;
     let Untraced {
         daemon,
@@ -416,7 +416,8 @@ fn untraced_batch(
 ) -> Result<Untraced, String> {
     let (programs, _, _) = jobs::generate_programs();
     if bench == Bench::ServedWarm {
-        let daemon = Daemon::start(dir, 0, programs, list, unique)?;
+        let outputs = served::execute_in_process(&programs, list, unique)?;
+        let (daemon, _) = Daemon::start(dir, 0, programs, unique, &outputs)?;
         let (wall_s, served) = daemon.request(list, unique);
         let served_ok = served.as_deref() == Ok(serial) && daemon.expected == serial;
         out.check(served_ok, || {

@@ -1,6 +1,7 @@
 //! The untraced runs, which alone give the end-to-end numbers. Each
-//! workload repeats its batch until `--seconds` of batch time is spent;
-//! set-up and the correctness checks run outside the timed windows.
+//! workload runs a fixed number of batches, [`Bench::batches`] of
+//! `--seconds`, so every commit measures the same work; set-up and the
+//! correctness checks run outside the timed windows.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -9,12 +10,13 @@ use confluence_sim::SimEngine;
 use confluence_store::Encode;
 use confluence_types::DetRng;
 
-use crate::host::{process_cpu_s, ScratchDir};
+use crate::arith::median;
+use crate::host::{self, process_cpu_s, RunDir};
 use crate::jobs::{self, Bench};
-use crate::served::Daemon;
+use crate::served::{self, Daemon, SetupParts};
 
 /// Set-ups per run, at least: `setup_s` is their median.
-const MIN_SETUPS: usize = 3;
+const SETUPS: usize = 11;
 
 /// Salt separating the correctness sample's RNG from the job seeds.
 const SAMPLE_SALT: u64 = 0x5A3_97E5;
@@ -29,6 +31,9 @@ pub struct Measured {
     pub batch_s: Vec<f64>,
     /// Process CPU seconds over all timed batches.
     pub cpu_s: f64,
+    /// Peak RSS of each peak window, in MiB: one per batch on the cold
+    /// workloads, one over all requests on served-warm.
+    pub peak_mb: Vec<f64>,
     /// Operations attempted: jobs on the cold workloads, requests on
     /// served-warm.
     pub attempted: u64,
@@ -41,15 +46,16 @@ pub struct Measured {
     pub problems: Vec<String>,
 }
 
-/// A cold workload: every batch is a fresh engine over freshly generated
-/// and translated programs, running the whole job list under its own
-/// [`jobs::batch_seed`].
+/// A cold workload: batch `b` of [`Bench::batches`] is a fresh engine
+/// over freshly generated and translated programs (one set-up), running
+/// the whole job list under [`jobs::batch_seed`]`(seed, b)`.
 pub fn run_cold(bench: Bench, seed: u64, seconds: f64) -> Measured {
     let mut m = Measured::default();
-    let (mut programs, generate_s, compile_s) = jobs::generate_programs();
-    m.setup_s.push(generate_s + compile_s);
     let mut rng = DetRng::seed_from(seed ^ SAMPLE_SALT);
-    for batch in 0.. {
+    for batch in 0..bench.batches(seconds) {
+        reset_peak();
+        let (programs, generate_s, compile_s) = jobs::generate_programs();
+        m.setup_s.push(generate_s + compile_s);
         let list = bench.jobs(&programs, jobs::batch_seed(seed, batch));
         let unique = jobs::unique(&list);
         let engine = SimEngine::new(programs).with_threads(bench.threads());
@@ -58,6 +64,7 @@ pub fn run_cold(bench: Bench, seed: u64, seconds: f64) -> Measured {
         let ran = catch_unwind(AssertUnwindSafe(|| engine.run(&list)));
         m.batch_s.push(t.elapsed().as_secs_f64());
         m.cpu_s += process_cpu_s() - cpu;
+        m.peak_mb.push(host::peak_rss_mb());
         m.attempted += unique.len() as u64;
         if ran.is_err() {
             m.failed += unique.len() as u64;
@@ -70,21 +77,21 @@ pub fn run_cold(bench: Bench, seed: u64, seconds: f64) -> Measured {
                 m.digest = jobs::digest(&outputs);
             }
         }
-        // Release this batch's programs before the next set-up, so the
-        // peak RSS never holds two program sets.
-        drop(engine);
-        if m.batch_s.iter().sum::<f64>() >= seconds {
-            break;
-        }
-        let (next, generate_s, compile_s) = jobs::generate_programs();
-        programs = next;
-        m.setup_s.push(generate_s + compile_s);
+        // The engine owns this batch's programs: dropping it here keeps
+        // the peak RSS to one program set.
     }
-    while m.setup_s.len() < MIN_SETUPS {
+    while m.setup_s.len() < SETUPS {
         let (_, generate_s, compile_s) = jobs::generate_programs();
         m.setup_s.push(generate_s + compile_s);
     }
     m
+}
+
+/// Opens a peak-RSS window; see [`host::reset_peak_rss`].
+fn reset_peak() {
+    if let Err(e) = host::reset_peak_rss() {
+        eprintln!("warning: cannot reset VmHWM ({e}); peak_rss_mb holds earlier work too");
+    }
 }
 
 /// The correctness gate of one cold batch; returns its failed jobs.
@@ -114,37 +121,54 @@ fn check_cold_batch(
     (bad.iter().filter(|&&b| b).count() as u64 + extra).min(unique.len() as u64)
 }
 
-/// served-warm: a closed loop of one client against a daemon set up
-/// [`MIN_SETUPS`] times (the last one serves the timed requests).
+/// served-warm: a closed loop of one client sending
+/// [`Bench::batches`] requests to a daemon. The outputs are executed
+/// once in process before any set-up; each of the [`SETUPS`] set-ups
+/// then fills a fresh store with them and starts a daemon, and the last
+/// one serves the timed requests.
 ///
 /// # Errors
 ///
 /// A set-up that fails: the run has nothing to measure.
 pub fn run_served(seed: u64, seconds: f64) -> Result<Measured, String> {
-    let scratch = ScratchDir::create().map_err(|e| format!("cannot create scratch dir: {e}"))?;
+    let run_dir = RunDir::create().map_err(|e| format!("cannot create the run directory: {e}"))?;
     let mut m = Measured::default();
+    let (programs, _, _) = jobs::generate_programs();
+    let list = Bench::ServedWarm.jobs(&programs, seed);
+    let unique = jobs::unique(&list);
+    let t = Instant::now();
+    let outputs = served::execute_in_process(&programs, &list, &unique)?;
+    println!(
+        "in-process execution of {} unique jobs: {:.3} s (not in setup_s)",
+        unique.len(),
+        t.elapsed().as_secs_f64()
+    );
     let mut daemon: Option<Daemon> = None;
-    let mut lists = None;
-    for tag in 0..MIN_SETUPS {
+    let mut parts = Vec::with_capacity(SETUPS);
+    for tag in 0..SETUPS {
         // One daemon at a time, so the peak RSS is one set-up's.
         if let Some(old) = daemon.take() {
             old.stop();
         }
         let t = Instant::now();
-        let (programs, _, _) = jobs::generate_programs();
-        let (list, unique) = lists.get_or_insert_with(|| {
-            let list = Bench::ServedWarm.jobs(&programs, seed);
-            let unique = jobs::unique(&list);
-            (list, unique)
-        });
-        daemon = Some(Daemon::start(scratch.path(), tag, programs, list, unique)?);
+        let (started, part) =
+            Daemon::start(run_dir.path(), tag, programs.clone(), &unique, &outputs)?;
         m.setup_s.push(t.elapsed().as_secs_f64());
+        daemon = Some(started);
+        parts.push(part);
     }
     let daemon = daemon.expect("at least one set-up");
-    let (list, unique) = lists.expect("at least one set-up");
+    let part_median = |f: fn(&SetupParts) -> f64| median(&parts.iter().map(f).collect::<Vec<_>>());
+    println!(
+        "set-up parts, medians: programs {:.4} s, store fill {:.4} s, daemon start {:.4} s",
+        part_median(|p| p.programs_s),
+        part_median(|p| p.fill_s),
+        part_median(|p| p.start_s)
+    );
 
+    reset_peak();
     let cpu = process_cpu_s();
-    while m.batch_s.iter().sum::<f64>() < seconds {
+    for _ in 0..Bench::ServedWarm.batches(seconds) {
         let (latency, served) = daemon.request(&list, &unique);
         m.batch_s.push(latency);
         m.attempted += 1;
@@ -163,6 +187,7 @@ pub fn run_served(seed: u64, seconds: f64) -> Result<Measured, String> {
         }
     }
     m.cpu_s = process_cpu_s() - cpu;
+    m.peak_mb.push(host::peak_rss_mb());
     m.digest = jobs::digest(&daemon.expected);
     daemon.stop();
     Ok(m)
