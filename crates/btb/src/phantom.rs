@@ -38,7 +38,9 @@ pub const GROUP_TABLE_LINES: usize = 4096;
 /// Groups fetched per trigger miss.
 const GROUPS_PER_TRIGGER: u64 = 4;
 
-type Group = Vec<(VAddr, ConvEntry)>;
+/// One temporal group: `GROUP_ENTRIES` entries that missed consecutively,
+/// stored inline so that storing and fetching groups allocates nothing.
+type Group = [(VAddr, ConvEntry); GROUP_ENTRIES];
 
 /// PhantomBTB with an LLC-virtualized temporal-group second level.
 #[derive(Clone, Debug)]
@@ -53,7 +55,7 @@ pub struct PhantomBtb {
     /// Region tag -> sequence number of the most recent group it triggered.
     index: SetAssocCache<u64>,
     /// Group currently being formed from consecutive L1 misses.
-    forming: Group,
+    forming: Vec<(VAddr, ConvEntry)>,
     forming_region: u64,
     /// Next group sequence to chase when prefetched entries prove useful.
     chase: Option<u64>,
@@ -134,24 +136,19 @@ impl PhantomBtb {
         }
     }
 
-    /// Installs groups whose LLC fetch has completed.
+    /// Installs groups whose LLC fetch has completed, in fetch order.
     fn drain_inflight(&mut self) {
-        let now = self.now;
-        let mut arrived: Vec<u64> = Vec::new();
-        self.inflight.retain(|&(ready, seq)| {
-            if ready <= now {
-                arrived.push(seq);
-                false
-            } else {
-                true
-            }
-        });
-        for seq in arrived {
-            let Some(group) = self.group_at(seq) else {
+        let mut i = 0;
+        while let Some(&(ready, seq)) = self.inflight.get(i) {
+            if ready > self.now {
+                i += 1;
                 continue;
-            };
-            for (bb, entry) in group.clone() {
-                self.prefetch_buffer.insert(Self::key(bb), entry);
+            }
+            self.inflight.remove(i);
+            if let Some(&group) = self.group_at(seq) {
+                for (bb, entry) in group {
+                    self.prefetch_buffer.insert(Self::key(bb), entry);
+                }
             }
         }
     }
@@ -252,7 +249,8 @@ impl BtbDesign for PhantomBtb {
         }
         self.forming.push((resolved.bb_start, entry));
         if self.forming.len() == GROUP_ENTRIES {
-            let group = std::mem::take(&mut self.forming);
+            let group: Group = self.forming[..].try_into().expect("a full group");
+            self.forming.clear();
             self.index.insert(self.forming_region, self.log_head);
             if self.group_log.len() == GROUP_TABLE_LINES {
                 self.group_log.pop_front();

@@ -126,6 +126,10 @@ pub struct AirBtb {
     /// Predecode oracle for eager insertion in the ablation modes that are
     /// not driven by L1-I fill callbacks.
     oracle: Option<Arc<dyn PredecodeSource + Send + Sync>>,
+    /// Empty entry vectors for new bundles: one per bundle at first, then
+    /// those of dropped bundles. An AirBTB holds at most as many bundles
+    /// as the L1-I holds blocks, so fills allocate nothing.
+    spare: Vec<Vec<BundleEntry>>,
     hits: u64,
     misses: u64,
 }
@@ -181,6 +185,9 @@ impl AirBtb {
             overflow_entries,
             bundles,
             oracle: None,
+            spare: (0..bundles)
+                .map(|_| Vec::with_capacity(bundle_entries.min(INSTRS_PER_BLOCK)))
+                .collect(),
             hits: 0,
             misses: 0,
         }
@@ -220,7 +227,7 @@ impl AirBtb {
     /// Builds a bundle from predecoded branches, spilling the excess into
     /// the overflow buffer.
     fn build_bundle(&mut self, block: BlockAddr, branches: &[PredecodedBranch]) -> Bundle {
-        let mut bundle = Bundle::default();
+        let mut bundle = self.new_bundle();
         for b in branches {
             debug_assert!((b.offset as usize) < INSTRS_PER_BLOCK);
             bundle.set_bit(b.offset);
@@ -236,37 +243,55 @@ impl AirBtb {
         bundle
     }
 
+    /// An empty bundle, taking its entry vector from the spare pool. A
+    /// block holds at most `INSTRS_PER_BLOCK` branches, so a vector with
+    /// that capacity never grows.
+    fn new_bundle(&mut self) -> Bundle {
+        let capacity = self.bundle_entries.min(INSTRS_PER_BLOCK);
+        Bundle {
+            bitmap: 0,
+            entries: self
+                .spare
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(capacity)),
+        }
+    }
+
+    /// Keeps a dropped bundle's entry vector for [`AirBtb::new_bundle`].
+    fn recycle(&mut self, bundle: Option<Bundle>) {
+        if let Some(Bundle { mut entries, .. }) = bundle {
+            entries.clear();
+            self.spare.push(entries);
+        }
+    }
+
     fn install_bundle(&mut self, block: BlockAddr, bundle: Bundle) {
         if self.uses_sync() {
-            self.synced.insert(block, bundle);
+            let replaced = self.synced.insert(block, bundle);
+            self.recycle(replaced);
         } else {
             let evicted = self.standalone.insert(block.raw(), bundle);
-            if let Some((old_key, _)) = evicted {
+            if let Some((old_key, old)) = evicted {
+                self.recycle(Some(old));
                 self.sweep_overflow(BlockAddr::from_raw(old_key));
             }
         }
     }
 
     fn remove_bundle(&mut self, block: BlockAddr) {
-        if self.uses_sync() {
-            self.synced.remove(&block);
+        let removed = if self.uses_sync() {
+            self.synced.remove(&block)
         } else {
-            self.standalone.invalidate(block.raw());
-        }
+            self.standalone.invalidate(block.raw())
+        };
+        self.recycle(removed);
         self.sweep_overflow(block);
     }
 
     /// Drops overflow entries belonging to an evicted block.
     fn sweep_overflow(&mut self, block: BlockAddr) {
         if let Some(of) = &mut self.overflow {
-            let stale: Vec<u64> = of
-                .iter()
-                .filter(|(k, _)| VAddr::new(*k).block() == block)
-                .map(|(k, _)| k)
-                .collect();
-            for k in stale {
-                of.invalidate(k);
-            }
+            of.retain(|k, _| VAddr::new(k).block() != block);
         }
     }
 
@@ -283,8 +308,7 @@ impl AirBtb {
         let Some(oracle) = self.oracle.clone() else {
             return;
         };
-        let branches: Vec<PredecodedBranch> = oracle.branches_in_block(block).to_vec();
-        let bundle = self.build_bundle(block, &branches);
+        let bundle = self.build_bundle(block, oracle.branches_in_block(block));
         self.install_bundle(block, bundle);
     }
 
@@ -316,7 +340,7 @@ impl AirBtb {
                 }
             }
             None => {
-                let mut bundle = Bundle::default();
+                let mut bundle = self.new_bundle();
                 bundle.set_bit(offset);
                 bundle.entries.push(entry);
                 self.install_bundle(block, bundle);

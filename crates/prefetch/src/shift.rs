@@ -48,6 +48,58 @@ impl HistoryEntry {
         )
     }
 
+    /// The block a stream cursor reads next from this entry, with its
+    /// index in [`HistoryEntry::blocks`]: the one after `skip_through`
+    /// when the entry covers that block (the base when it does not), else
+    /// the one at `offset`. Walks the footprint mask in place; equal to
+    /// indexing the collected `blocks()`.
+    fn next_block(self, offset: u8, skip_through: Option<BlockAddr>) -> Option<(usize, BlockAddr)> {
+        let start = match skip_through {
+            Some(after) => self.position(after).map_or(0, |p| p + 1),
+            None => offset as usize,
+        };
+        Some((start, self.block_at(start)?))
+    }
+
+    /// Index of `block` in [`HistoryEntry::blocks`].
+    fn position(self, block: BlockAddr) -> Option<usize> {
+        if block == self.base {
+            return Some(0);
+        }
+        let mut mask = self.footprint();
+        let mut index = 1;
+        while mask != 0 {
+            if self.follower(mask.trailing_zeros()) == block {
+                return Some(index);
+            }
+            mask &= mask - 1;
+            index += 1;
+        }
+        None
+    }
+
+    /// The `index`-th block of [`HistoryEntry::blocks`].
+    fn block_at(self, index: usize) -> Option<BlockAddr> {
+        let Some(skip) = index.checked_sub(1) else {
+            return Some(self.base);
+        };
+        let mut mask = self.footprint();
+        for _ in 0..skip {
+            mask &= mask.wrapping_sub(1);
+        }
+        (mask != 0).then(|| self.follower(mask.trailing_zeros()))
+    }
+
+    /// The footprint bits `blocks()` reads.
+    fn footprint(self) -> u8 {
+        self.mask & ((1 << FOOTPRINT_SPAN) - 1)
+    }
+
+    /// The block footprint bit `bit` stands for.
+    fn follower(self, bit: u32) -> BlockAddr {
+        BlockAddr::from_raw(self.base.raw() + u64::from(bit) + 1)
+    }
+
     #[cfg(test)]
     fn covers(self, block: BlockAddr) -> bool {
         let delta = block.raw().wrapping_sub(self.base.raw());
@@ -177,18 +229,9 @@ impl ShiftHistory {
             }
             let entry = self.buffer[(seq % self.capacity as u64) as usize];
             // Walk the entry's covered blocks from the cursor's offset.
-            let blocks: Vec<BlockAddr> = entry.blocks().collect();
-            let start = match cursor.skip_through {
-                Some(after) => blocks
-                    .iter()
-                    .position(|&b| b == after)
-                    .map(|p| p + 1)
-                    .unwrap_or(0),
-                None => cursor.offset as usize,
-            };
-            if let Some(&b) = blocks.get(start) {
+            if let Some((index, b)) = entry.next_block(cursor.offset, cursor.skip_through) {
                 cursor.skip_through = None;
-                cursor.offset = (start + 1) as u8;
+                cursor.offset = (index + 1) as u8;
                 return Some(b);
             }
             cursor.next_seq += 1;
@@ -551,6 +594,55 @@ mod tests {
         assert!(!e.covers(BlockAddr::from_raw(99)));
         let blocks: Vec<u64> = e.blocks().map(|b| b.raw()).collect();
         assert_eq!(blocks, vec![100, 101, 103]);
+    }
+
+    /// The reference walk `read` used before walking masks in place:
+    /// collect the entry's blocks, then index them.
+    fn collected_next_block(
+        entry: HistoryEntry,
+        offset: u8,
+        skip_through: Option<BlockAddr>,
+    ) -> Option<(usize, BlockAddr)> {
+        let blocks: Vec<BlockAddr> = entry.blocks().collect();
+        let start = match skip_through {
+            Some(after) => blocks
+                .iter()
+                .position(|&b| b == after)
+                .map(|p| p + 1)
+                .unwrap_or(0),
+            None => offset as usize,
+        };
+        blocks.get(start).map(|&b| (start, b))
+    }
+
+    #[test]
+    fn in_place_walk_matches_collected_blocks_exhaustively() {
+        // Every mask byte, at a small base and at the top of the block
+        // address space (where followers wrap), for every cursor offset
+        // a footprint can reach and every skip block in and around it.
+        let top = BlockAddr::from_raw(u64::MAX).raw();
+        for base in [BlockAddr::from_raw(100), BlockAddr::from_raw(top - 3)] {
+            for mask in 0..=u8::MAX {
+                let entry = HistoryEntry { base, mask };
+                for offset in 0..=FOOTPRINT_SPAN as u8 + 2 {
+                    assert_eq!(
+                        entry.next_block(offset, None),
+                        collected_next_block(entry, offset, None),
+                        "mask {mask:#010b}, offset {offset}"
+                    );
+                }
+                for delta in 0..=FOOTPRINT_SPAN + 3 {
+                    let skip = BlockAddr::from_raw(base.raw().wrapping_sub(1).wrapping_add(delta));
+                    for offset in [0, 3] {
+                        assert_eq!(
+                            entry.next_block(offset, Some(skip)),
+                            collected_next_block(entry, offset, Some(skip)),
+                            "mask {mask:#010b}, skip {skip:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

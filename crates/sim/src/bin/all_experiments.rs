@@ -2,9 +2,9 @@
 //! and prints the full suite.
 //!
 //! All figures' jobs are batched and executed on the engine's worker pool
-//! first — most expensive first, with idle workers lent to CMP timing
-//! runs as core shards — with each unique `(workload, design/BTB-spec,
-//! options)` simulation run exactly once across the whole suite; the
+//! first — most expensive first, one job per worker — with each unique
+//! `(workload, design/BTB-spec, options)` simulation run exactly once
+//! across the whole suite; the
 //! figures then format from the warm cache. With a persistent store
 //! attached (`--store-dir`, or `CONFLUENCE_STORE=DIR`), results also
 //! survive the process: a second run against the same store executes

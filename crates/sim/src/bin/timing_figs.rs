@@ -1,10 +1,10 @@
 //! Regenerates the three timing figures (2, 6, 7) in one pass over a
 //! shared engine: the batched job set is deduplicated, so the Baseline and
 //! every design point shared between the figures is simulated once. The
-//! batch is pure CMP timing work — the job class the engine's core-grain
-//! shard lending exists for — so `--compare-serial` here measures the
-//! two-phase tick's intra-job speedup specifically, and asserts the
-//! sharded rendering is byte-identical to a fully serial reference.
+//! batch is pure CMP timing work, each job on one worker at one shard, so
+//! `--compare-serial` here measures the job-grain speedup of timing runs
+//! specifically, and asserts the pool's rendering is byte-identical to a
+//! fully serial reference.
 //!
 //! Usage: `timing_figs [--quick] [--csv|--markdown] [--threads N]
 //! [--compare-serial] [--store-dir DIR | --no-store] [--store-cap-bytes N]

@@ -424,8 +424,12 @@ fn shard_ranges(count: usize, workers: usize) -> Vec<Range<usize>> {
 /// A reusable sense-reversing spin barrier for the per-cycle phase
 /// boundaries. `std::sync::Barrier` parks through the OS on every wait —
 /// ruinous at two waits per simulated cycle — while shard workers that
-/// spin (yielding once a boundary drags on) cross in tens of
-/// nanoseconds.
+/// spin (yielding once a boundary drags on) cross without a system call.
+/// A crossing still moves cache lines between cores, which costs about as
+/// much as stepping a core, and a spinner on an oversubscribed host can
+/// wait out a scheduler slice: on a 2-vCPU host a 2-shard run measured
+/// 3–4x slower than a 1-shard run (`cmp.shard2_speedup` in perfbench).
+/// The engine therefore runs every timing job at one shard.
 struct SpinBarrier {
     total: usize,
     arrived: AtomicUsize,

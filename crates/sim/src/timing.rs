@@ -116,11 +116,15 @@ impl CoreStats {
     }
 }
 
-/// A fetch region queued between the BPU and the fetch stage.
-#[derive(Clone, Debug)]
+/// A fetch region queued between the BPU and the fetch stage. Its blocks
+/// are contiguous (a region holds at most [`REGION_CAP`] instructions, so
+/// it spans at most two), which lets the fetch stage index them in place.
+#[derive(Clone, Copy, Debug)]
 struct PendingRegion {
     len: usize,
-    blocks: Vec<BlockAddr>,
+    first_block: BlockAddr,
+    /// Number of blocks the region touches.
+    blocks: usize,
     next_block: usize,
     /// Instructions already delivered to the instruction buffer.
     fetched: usize,
@@ -145,6 +149,8 @@ pub struct CoreFrontend<'p> {
     records_history: bool,
     core: CoreParams,
     backend_stall_prob: f64,
+    /// [`DetRng::chance_threshold`] of `backend_stall_prob`.
+    stall_threshold: u64,
     rng: DetRng,
 
     lookahead: VecDeque<TraceRecord>,
@@ -153,6 +159,8 @@ pub struct CoreFrontend<'p> {
     bpu_ready_at: u64,
     inflight_prefetch: Vec<(BlockAddr, u64)>,
     last_demand_block: Option<BlockAddr>,
+    /// Reused block buffer: fills drained in a cycle, then prefetch
+    /// candidates. Keeps the tick free of allocations.
     scratch: Vec<BlockAddr>,
     /// Shared-hierarchy accesses deferred from phase 1 to phase 2, in the
     /// exact order serial stepping would have performed them.
@@ -199,6 +207,7 @@ impl<'p> CoreFrontend<'p> {
             records_history: id == 0,
             core,
             backend_stall_prob: spec.backend_stall_prob,
+            stall_threshold: DetRng::chance_threshold(spec.backend_stall_prob),
             rng: DetRng::seed_from(seed ^ 0xBACC ^ id as u64),
             lookahead: VecDeque::with_capacity(LOOKAHEAD_BLOCK as usize),
             fetch_queue: VecDeque::with_capacity(core.fetch_queue_regions),
@@ -289,12 +298,11 @@ impl<'p> CoreFrontend<'p> {
         self.pending_fills.clear();
     }
 
-    /// Installs completed demand and prefetch fills.
+    /// Installs completed demand fills, then completed prefetch fills.
     fn drain_fills(&mut self, now: u64) {
-        for block in self.mshrs.drain_completed(now) {
-            self.install(block);
-        }
-        let mut arrived = Vec::new();
+        let mut arrived = std::mem::take(&mut self.scratch);
+        arrived.clear();
+        self.mshrs.drain_completed(now, &mut arrived);
         self.inflight_prefetch.retain(|&(b, ready)| {
             if ready <= now {
                 arrived.push(b);
@@ -303,9 +311,10 @@ impl<'p> CoreFrontend<'p> {
                 true
             }
         });
-        for b in arrived {
+        for &b in &arrived {
             self.install(b);
         }
+        self.scratch = arrived;
     }
 
     /// Installs a block into the L1-I with the BTB synchronization hooks.
@@ -320,7 +329,24 @@ impl<'p> CoreFrontend<'p> {
     /// Retires up to `retire_width` instructions; slots stall with the
     /// workload's backend probability.
     fn retire(&mut self, now: u64) {
-        for _ in 0..self.core.retire_width {
+        let width = self.core.retire_width;
+        let row = width as u64;
+        let warmup = self.warmup_instrs;
+        // A full row that cannot reach the warm-up or finish count draws
+        // one coin per slot and only counts retirements, so count them
+        // without a branch per slot. The draws stay the same.
+        let crosses_warmup = self.retired < warmup && warmup <= self.retired + row;
+        if self.instr_buffer >= width && !crosses_warmup && self.retired + row < self.target_instrs
+        {
+            let retired = self.rng.count_misses(width, self.stall_threshold);
+            self.instr_buffer -= retired;
+            self.retired += retired as u64;
+            if self.measuring() {
+                self.stats.retired += retired as u64;
+            }
+            return;
+        }
+        for _ in 0..width {
             if self.instr_buffer == 0 {
                 break;
             }
@@ -344,14 +370,13 @@ impl<'p> CoreFrontend<'p> {
     /// Fetch stage: brings the head region's blocks in and delivers up to
     /// `fetch_width` instructions per cycle into the instruction buffer.
     fn fetch(&mut self, history: &mut HistoryView<'_>) {
-        let Some(head) = self.fetch_queue.front() else {
+        let Some(&head) = self.fetch_queue.front() else {
             return;
         };
-        // Check/collect the region's blocks in order.
-        let blocks: Vec<BlockAddr> = head.blocks.clone();
+        // Check the region's blocks in order.
         let mut next = head.next_block;
-        while next < blocks.len() {
-            let block = blocks[next];
+        while next < head.blocks {
+            let block = BlockAddr::from_raw(head.first_block.raw() + next as u64);
             if self.perfect_l1i {
                 next += 1;
                 continue;
@@ -504,7 +529,6 @@ impl<'p> CoreFrontend<'p> {
         }
         let start = start.expect("region has at least one instruction");
         let region = FetchRegion::new(start, len);
-        let blocks: Vec<BlockAddr> = region.blocks().collect();
 
         let mut bubble: u64 = 0;
         if let Some(term) = terminator {
@@ -602,7 +626,8 @@ impl<'p> CoreFrontend<'p> {
 
         self.fetch_queue.push_back(PendingRegion {
             len,
-            blocks: blocks.clone(),
+            first_block: start.block(),
+            blocks: region.blocks().count(),
             next_block: 0,
             fetched: 0,
         });

@@ -106,6 +106,30 @@ impl DetRng {
         self.f64() < p
     }
 
+    /// The integer form of [`DetRng::chance`]: `chance(p)` is true exactly
+    /// when the draw's top 53 bits fall below `ceil(p * 2^53)`, clamped to
+    /// `[0, 2^53]`.
+    ///
+    /// `p * 2^53` is exact (a power-of-two scaling), and an integer lies
+    /// below a real number exactly when it lies below that number's
+    /// ceiling. `clamp` passes NaN through and the cast maps it to 0,
+    /// matching `chance`, which never fires for a NaN `p`.
+    pub fn chance_threshold(p: f64) -> u64 {
+        const SCALE: f64 = (1u64 << 53) as f64;
+        (p * SCALE).ceil().clamp(0.0, SCALE) as u64
+    }
+
+    /// Draws `n` coins and counts those on which `chance(p)` would have
+    /// been false, given `threshold = chance_threshold(p)`. The draws and
+    /// their order are exactly those of `n` calls to `chance(p)`; only
+    /// the per-draw branch is gone.
+    #[inline]
+    pub fn count_misses(&mut self, n: usize, threshold: u64) -> usize {
+        (0..n)
+            .map(|_| usize::from(self.next_u64() >> 11 >= threshold))
+            .sum()
+    }
+
     /// Picks an index according to the given non-negative weights.
     ///
     /// # Panics
@@ -193,6 +217,61 @@ mod tests {
         let hits = (0..100_000).filter(|_| r.chance(0.25)).count();
         let frac = hits as f64 / 100_000.0;
         assert!((frac - 0.25).abs() < 0.01, "frac = {frac}");
+    }
+
+    const THRESHOLD_PROBS: [f64; 9] = [
+        -0.5,
+        0.0,
+        1.0 / (1u64 << 53) as f64,
+        0.25,
+        0.5,
+        0.72,
+        1.0 - 1.0 / (1u64 << 53) as f64,
+        1.0,
+        1.5,
+    ];
+
+    #[test]
+    fn chance_threshold_agrees_with_chance_draw_for_draw() {
+        for p in THRESHOLD_PROBS {
+            let threshold = DetRng::chance_threshold(p);
+            let mut by_chance = DetRng::seed_from(11);
+            let mut by_threshold = by_chance.clone();
+            for _ in 0..20_000 {
+                let fired = by_chance.chance(p);
+                let missed = by_threshold.count_misses(1, threshold) == 1;
+                assert_eq!(fired, !missed, "p = {p}");
+            }
+            // Draws near the threshold decide the ceiling; the RNG never
+            // lands there by chance, so test `f64`'s arithmetic directly.
+            let top = 1u64 << 53;
+            for bits in [
+                0,
+                1,
+                threshold.saturating_sub(1),
+                threshold,
+                threshold + 1,
+                top - 1,
+            ] {
+                let bits = bits.min(top - 1);
+                let fired = (bits as f64) * (1.0 / top as f64) < p;
+                assert_eq!(fired, bits < threshold, "p = {p}, draw bits {bits}");
+            }
+        }
+        assert_eq!(DetRng::chance_threshold(f64::NAN), 0);
+    }
+
+    #[test]
+    fn count_misses_consumes_one_draw_per_coin() {
+        let threshold = DetRng::chance_threshold(0.5);
+        let mut rows = DetRng::seed_from(12);
+        let mut coins = rows.clone();
+        for _ in 0..1_000 {
+            let missed = rows.count_misses(3, threshold);
+            let expected = (0..3).filter(|_| !coins.chance(0.5)).count();
+            assert_eq!(missed, expected);
+        }
+        assert_eq!(rows, coins, "both sides must have drawn the same count");
     }
 
     #[test]

@@ -234,6 +234,14 @@ impl<V> SetAssocCache<V> {
         Some(lines.remove(pos).value)
     }
 
+    /// Removes every line for which `keep` returns false. The remaining
+    /// lines keep their recency order.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64, &V) -> bool) {
+        for set in &mut self.sets {
+            set.retain(|l| keep(l.key, &l.value));
+        }
+    }
+
     /// Iterates over `(key, &value)` of all resident lines (set order).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         self.sets
@@ -344,6 +352,16 @@ mod tests {
         c.insert(1, 'a');
         c.insert_lru(3, 'p'); // prefetch at LRU
         assert_eq!(c.insert(5, 'b'), Some((3, 'p')));
+    }
+
+    #[test]
+    fn retain_drops_rejected_lines_and_keeps_recency() {
+        let mut c = SetAssocCache::new(1, 4).unwrap();
+        for k in [1, 2, 3, 4] {
+            c.insert(k, ());
+        }
+        c.retain(|k, _| k % 2 == 0);
+        assert_eq!(c.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec![4, 2]);
     }
 
     #[test]

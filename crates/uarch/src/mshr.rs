@@ -79,9 +79,10 @@ impl MshrFile {
         entry.1 = ready_cycle;
     }
 
-    /// Releases entries that have completed by `now` and returns them.
-    pub fn drain_completed(&mut self, now: u64) -> Vec<BlockAddr> {
-        let mut done = Vec::new();
+    /// Releases entries that have completed by `now`, appending their
+    /// blocks to `done` in allocation order. The caller owns and reuses
+    /// the buffer, so a per-cycle drain allocates nothing.
+    pub fn drain_completed(&mut self, now: u64, done: &mut Vec<BlockAddr>) {
         self.entries.retain(|&(b, t)| {
             if t <= now {
                 done.push(b);
@@ -90,7 +91,6 @@ impl MshrFile {
                 true
             }
         });
-        done
     }
 
     /// Clears all entries.
@@ -125,8 +125,9 @@ mod tests {
         let mut m = MshrFile::new(4);
         m.allocate(BlockAddr::from_raw(1), 10);
         m.allocate(BlockAddr::from_raw(2), 20);
-        let done = m.drain_completed(15);
-        assert_eq!(done, vec![BlockAddr::from_raw(1)]);
+        let mut done = vec![BlockAddr::from_raw(9)];
+        m.drain_completed(15, &mut done);
+        assert_eq!(done, vec![BlockAddr::from_raw(9), BlockAddr::from_raw(1)]);
         assert_eq!(m.outstanding(), 1);
         assert!(!m.is_full());
     }
@@ -138,10 +139,13 @@ mod tests {
         // Presence is visible immediately (same-cycle dedup)...
         assert!(!m.allocate(BlockAddr::from_raw(7), 5));
         // ...but the sentinel never completes.
-        assert!(m.drain_completed(u64::MAX - 1).is_empty());
+        let mut done = Vec::new();
+        m.drain_completed(u64::MAX - 1, &mut done);
+        assert!(done.is_empty());
         m.commit_ready(BlockAddr::from_raw(7), 12);
         assert_eq!(m.ready_at(BlockAddr::from_raw(7)), Some(12));
-        assert_eq!(m.drain_completed(12), vec![BlockAddr::from_raw(7)]);
+        m.drain_completed(12, &mut done);
+        assert_eq!(done, vec![BlockAddr::from_raw(7)]);
     }
 
     #[test]

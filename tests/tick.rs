@@ -10,10 +10,11 @@
 //! 2. **Contention stress** — many OS threads running sharded simulations
 //!    of the same program concurrently (each spawning its own shard
 //!    workers) all agree with the serial reference.
-//! 3. **Engine-level lending** — an engine that lends idle workers to
-//!    timing jobs as core shards renders byte-identical results to a
-//!    fully serial engine, and schedules expensive jobs without breaking
-//!    the exactly-once contract.
+//! 3. **Engine-level equality** — a pool engine running timing jobs on
+//!    several workers renders byte-identical results to a fully serial
+//!    engine, and schedules expensive jobs without breaking the
+//!    exactly-once contract. The engine runs every timing job at one
+//!    shard; the sharded executor is driven directly by 1 and 2 above.
 
 use confluence::sim::{
     experiments, simulate_cmp_with_shards, DesignPoint, Job, SimEngine, TimingConfig, TimingJob,
@@ -114,13 +115,12 @@ fn concurrent_sharded_runs_agree_with_serial() {
     });
 }
 
-/// The engine's cost-aware scheduling and shard lending end-to-end: a
-/// wide engine running a timing-heavy batch (where lending kicks in at
-/// the tail and for direct fetches) must agree byte-for-byte with a
-/// serial engine, keep the exactly-once contract, and rank timing jobs
+/// The engine's cost-aware scheduling end-to-end: a wide engine running
+/// a timing-heavy batch on its worker pool must agree byte-for-byte with
+/// a serial engine, keep the exactly-once contract, and rank timing jobs
 /// as the expensive ones.
 #[test]
-fn lending_engine_matches_serial_engine() {
+fn pool_engine_matches_serial_engine() {
     let cfg = experiments::ExperimentConfig::quick();
     let workloads: Vec<_> = cfg.workloads().into_iter().take(1).collect();
     let designs = [
@@ -151,18 +151,18 @@ fn lending_engine_matches_serial_engine() {
         );
     }
 
-    let lending = SimEngine::new(workloads.clone()).with_threads(4);
+    let pool = SimEngine::new(workloads.clone()).with_threads(4);
     let serial = SimEngine::new(workloads).with_threads(1);
-    lending.run(&jobs);
+    pool.run(&jobs);
     serial.run(&jobs);
-    assert_eq!(lending.stats().executed, jobs.len() as u64);
+    assert_eq!(pool.stats().executed, jobs.len() as u64);
     assert_eq!(serial.stats().executed, jobs.len() as u64);
     for job in &jobs {
         let Job::Timing(t) = job else { unreachable!() };
         assert_eq!(
-            lending.timing(t),
+            pool.timing(t),
             serial.timing(t),
-            "lending must never change a timing result"
+            "the worker pool must never change a timing result"
         );
     }
 }
