@@ -2,7 +2,7 @@
 //! AirBTB, the SHIFT engine, the trace executor, the hybrid direction
 //! predictor, and the generic set-associative cache.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use confluence_bench::bench_program;
@@ -77,54 +77,6 @@ fn bench_executor_throughput(c: &mut Criterion) {
             ex.for_each_record(100_000, |r| acc = sink(acc, &r));
             black_box(acc)
         })
-    });
-    group.finish();
-}
-
-/// Cold start vs artifact-warm start: the first 200k records out of a
-/// *fresh* program instance (a short job in a cold process), with and
-/// without importing a persisted path-memo table first. This is the
-/// regime the store's warm-artifact tier targets — below the memo
-/// convergence point, where the cold path still pays recording and live
-/// stepping while the warm path replays from record zero.
-fn bench_warm_start(c: &mut Criterion) {
-    let donor = bench_program();
-    {
-        let mut ex = donor.compiled().executor(1);
-        ex.fast_forward(2_000_000);
-    }
-    let table = donor.compiled().export_memo();
-    let mut group = c.benchmark_group("warm_start");
-    group.throughput(Throughput::Elements(200_000));
-    group.sample_size(10);
-    let run = |p: &confluence_trace::Program| {
-        let mut acc = 0u64;
-        p.compiled()
-            .executor(1)
-            .for_each_record(200_000, |r| acc = sink(acc, &r));
-        black_box(acc)
-    };
-    group.bench_function("cold_start_200k", |b| {
-        b.iter_batched(
-            || {
-                let p = bench_program();
-                p.compiled(); // pre-translate: both sides time stepping only
-                p
-            },
-            |p| run(&p),
-            BatchSize::PerIteration,
-        )
-    });
-    group.bench_function("artifact_warm_start_200k", |b| {
-        b.iter_batched(
-            || {
-                let p = bench_program();
-                assert!(p.compiled().import_memo(&table));
-                p
-            },
-            |p| run(&p),
-            BatchSize::PerIteration,
-        )
     });
     group.finish();
 }
@@ -290,9 +242,9 @@ fn bench_caches(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20);
-    targets = bench_executor_throughput, bench_warm_start, bench_compile_cost,
-        bench_airbtb_ops, bench_conventional_btb, bench_shift_engine,
-        bench_direction_predictor, bench_caches
+    targets = bench_executor_throughput, bench_compile_cost, bench_airbtb_ops,
+        bench_conventional_btb, bench_shift_engine, bench_direction_predictor,
+        bench_caches
 }
 
 criterion_main!(micro);

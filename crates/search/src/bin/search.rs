@@ -9,8 +9,7 @@
 //!
 //! Usage: `search [--list] [--study NAME]... [--seed N] [--quick]
 //! [--csv | --markdown] [--threads N] [--store-dir DIR | --no-store]
-//! [--store-cap-bytes N] [--no-warm-artifacts] [--no-fastpath]
-//! [--connect SOCK]`
+//! [--store-cap-bytes N] [--no-fastpath] [--connect SOCK]`
 //!
 //! With no `--study`, every registered study runs. `--connect` submits
 //! each search batch to a `confluence-serve` daemon instead of
@@ -22,7 +21,7 @@ use confluence_sim::cli;
 const USAGE: &str = "search [--list] [--study NAME]... [--seed N] [--quick] \
      [--csv | --markdown] [--threads N] [--store-dir DIR | --no-store] \
      [--store-cap-bytes N] [--peer SOCK]... [--peer-timeout-ms N] \
-     [--no-warm-artifacts] [--no-fastpath] [--connect SOCK]";
+     [--no-fastpath] [--connect SOCK]";
 
 /// The `--seed N` / `--seed=N` value, defaulting to 42. Exits with
 /// status 2 on a malformed value.
@@ -142,7 +141,7 @@ fn main() {
         total_iterations += outcome.iterations;
     }
 
-    cli::finish_store(&engine, &args);
+    cli::run_store_gc(&engine, &args);
     match &connect {
         Some(_) => eprintln!(
             "search: daemon executed {daemon_executed} simulations across \

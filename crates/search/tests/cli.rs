@@ -11,7 +11,6 @@ fn run(args: &[&str]) -> Output {
         "CONFLUENCE_STORE",
         "CONFLUENCE_STORE_CAP",
         "CONFLUENCE_CONNECT",
-        "CONFLUENCE_MEMO_CAP",
         "CONFLUENCE_PEER",
     ] {
         cmd.env_remove(var);

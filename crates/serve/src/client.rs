@@ -8,8 +8,6 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-use confluence_store::Tier;
-
 use crate::protocol::{self, BatchStats, ErrorCode, Frame, RecvError, PROTO_VERSION};
 
 /// Why a client operation failed.
@@ -196,30 +194,24 @@ impl Client {
         }
     }
 
-    /// Asks the daemon for a whole batch of raw store entries in `tier`
-    /// — **one round trip** for any number of keys. Returns one slot
-    /// per key, index-aligned: the raw entry bytes on a hit (which the
-    /// caller must re-verify via `ResultStore::adopt_raw` before
-    /// trusting), `None` on a miss. `ttl` bounds how many further peer
+    /// Asks the daemon for a whole batch of raw store entries — **one
+    /// round trip** for any number of keys. Returns one slot per key,
+    /// index-aligned: the raw entry bytes on a hit (which the caller must
+    /// re-verify via `ResultStore::adopt_raw` before trusting), `None` on
+    /// a miss. `ttl` bounds how many further peer
     /// hops the daemon may take on this client's behalf.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Daemon`] carries the daemon's typed refusal — in
-    /// particular a v1 daemon's `MalformedFrame` for the unknown tag;
+    /// [`ClientError::Daemon`] carries the daemon's typed refusal;
     /// transport and protocol violations as their variants describe.
     pub fn fetch(
         &mut self,
-        tier: Tier,
         ttl: u32,
         keys: Vec<Vec<u8>>,
     ) -> Result<Vec<Option<Vec<u8>>>, ClientError> {
         let count = keys.len();
-        let frame = match tier {
-            Tier::Result => Frame::FetchResults { ttl, keys },
-            Tier::Artifact => Frame::FetchArtifacts { ttl, keys },
-        };
-        protocol::send(&mut self.stream, &frame)?;
+        protocol::send(&mut self.stream, &Frame::FetchResults { ttl, keys })?;
 
         let mut entries: Vec<Option<Vec<u8>>> = vec![None; count];
         let mut filled = 0u32;

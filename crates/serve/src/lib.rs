@@ -5,8 +5,8 @@
 //! only through the filesystem. This crate is the daemon shape of the
 //! same machinery: a long-running process owns the engine and its
 //! persistent store, and N clients submit job batches over a
-//! Unix-domain socket, sharing one in-memory cache, one warm-artifact
-//! import per workload, and exactly-once execution across all of them.
+//! Unix-domain socket, sharing one in-memory cache and exactly-once
+//! execution across all of them.
 //!
 //! Three layers, lowest first:
 //!

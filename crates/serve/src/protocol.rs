@@ -31,7 +31,7 @@ use confluence_store::{Decode, Encode, Reader, WireError};
 /// Version of the frame protocol itself (envelope, tags, field orders).
 /// Bump on any wire-visible change; the server refuses mismatched
 /// clients with [`ErrorCode::ProtoMismatch`] instead of misparsing.
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// Upper bound on peer-forwarding depth for the remote warm tier. A
 /// fetch request carries a `ttl`; a daemon holding a miss consults its
@@ -110,10 +110,6 @@ pub struct StoreLine {
     pub entries: u64,
     /// Their total bytes.
     pub bytes: u64,
-    /// Committed warm-artifact files on disk.
-    pub artifacts: u64,
-    /// Their total bytes.
-    pub artifact_bytes: u64,
 }
 
 impl Encode for StoreLine {
@@ -122,8 +118,6 @@ impl Encode for StoreLine {
         self.schema.encode(out);
         self.entries.encode(out);
         self.bytes.encode(out);
-        self.artifacts.encode(out);
-        self.artifact_bytes.encode(out);
     }
 }
 
@@ -134,16 +128,14 @@ impl Decode for StoreLine {
             schema: Decode::decode(r)?,
             entries: Decode::decode(r)?,
             bytes: Decode::decode(r)?,
-            artifacts: Decode::decode(r)?,
-            artifact_bytes: Decode::decode(r)?,
         })
     }
 }
 
 /// Cache accounting for one served batch, carried by
 /// [`Frame::BatchDone`]. Request/hit/memo counters are **deltas over
-/// the batch** (so a warm batch reports `executed: 0` and a replay-only
-/// batch reports `memo_recorded: 0`, exactly what CI greps); the memo
+/// the batch** (so a warm batch reports `executed: 0`, exactly what CI
+/// greps); the memo
 /// table/step figures and the store line are absolutes — bank and disk
 /// occupancy at batch end. The deltas are windows over the daemon's
 /// shared counters: exact for sequential batches, while overlapping
@@ -200,10 +192,8 @@ impl Encode for BatchStats {
                 line.encode(out);
             }
         }
-        // Remote-tier counters ride a default-invisible tail extension
-        // (the PR 5 codec pattern): a batch with no remote traffic
-        // encodes exactly the v1 bytes, so the goldens stay green and
-        // old clients parse new daemons whenever no peer was consulted.
+        // Remote-tier counters ride a default-invisible tail extension:
+        // a batch with no remote traffic encodes without them.
         if self.remote_hits != 0 || self.remote_round_trips != 0 || self.remote_bytes != 0 {
             self.remote_hits.encode(out);
             self.remote_round_trips.encode(out);
@@ -240,7 +230,7 @@ impl Decode for BatchStats {
                 })
             }
         }
-        // Tail extension: absent on v1 writers and remote-quiet batches.
+        // Tail extension: absent on remote-quiet batches.
         if !r.is_empty() {
             stats.remote_hits = Decode::decode(r)?;
             stats.remote_round_trips = Decode::decode(r)?;
@@ -311,9 +301,7 @@ pub enum Frame {
     /// *every* key a batch missed locally, so a cold batch costs one
     /// round trip, not one per job. Answered by a stream of
     /// [`Frame::FetchHit`]s (hits only, in no particular order) closed
-    /// by one [`Frame::FetchDone`]. A v1 daemon answers the unknown tag
-    /// with a typed [`ErrorCode::MalformedFrame`] — the version refusal
-    /// that lets old and new daemons coexist on one socket directory.
+    /// by one [`Frame::FetchDone`].
     FetchResults {
         /// Remaining peer-forwarding hops. A server holding a miss may
         /// consult its own peers only when `ttl > 0`, forwarding with
@@ -322,14 +310,6 @@ pub enum Frame {
         ttl: u32,
         /// Encoded store keys (the store's key bytes, not job payloads),
         /// in request order; hits refer to this vector by index.
-        keys: Vec<Vec<u8>>,
-    },
-    /// Client/peer → server: as [`Frame::FetchResults`], against the
-    /// warm-artifact tier.
-    FetchArtifacts {
-        /// As [`Frame::FetchResults::ttl`].
-        ttl: u32,
-        /// As [`Frame::FetchResults::keys`].
         keys: Vec<Vec<u8>>,
     },
     /// Server → client/peer: one fetched entry — the *entire verified
@@ -393,8 +373,16 @@ impl Encode for Frame {
                 out.push(code.tag());
                 message.encode(out);
             }
-            Frame::FetchResults { ttl, keys } => encode_fetch(out, 6, *ttl, keys),
-            Frame::FetchArtifacts { ttl, keys } => encode_fetch(out, 7, *ttl, keys),
+            Frame::FetchResults { ttl, keys } => {
+                out.push(6);
+                ttl.encode(out);
+                wire::put_usize(out, keys.len());
+                for key in keys {
+                    wire::put_length_prefixed(out, key);
+                }
+            }
+            // Tag 7 stays unassigned: protocol v1 used it, and a retired
+            // tag is never reused.
             Frame::FetchHit { idx, entry } => {
                 out.push(8);
                 idx.encode(out);
@@ -407,30 +395,6 @@ impl Encode for Frame {
             }
         }
     }
-}
-
-fn encode_fetch(out: &mut Vec<u8>, tag: u8, ttl: u32, keys: &[Vec<u8>]) {
-    out.push(tag);
-    ttl.encode(out);
-    wire::put_usize(out, keys.len());
-    for key in keys {
-        wire::put_length_prefixed(out, key);
-    }
-}
-
-/// Decodes the shared tail of the two fetch-request frames, with the
-/// same allocation guard as [`Frame::SubmitBatch`]'s job vector.
-fn decode_fetch(r: &mut Reader<'_>) -> Result<(u32, Vec<Vec<u8>>), WireError> {
-    let ttl = Decode::decode(r)?;
-    let count = r.usize_varint()?;
-    if count > r.remaining() {
-        return Err(r.error("key count exceeds buffer"));
-    }
-    let mut keys = Vec::with_capacity(count);
-    for _ in 0..count {
-        keys.push(r.length_prefixed()?.to_vec());
-    }
-    Ok((ttl, keys))
 }
 
 impl Decode for Frame {
@@ -478,12 +442,17 @@ impl Decode for Frame {
                 }
             }
             6 => {
-                let (ttl, keys) = decode_fetch(r)?;
+                let ttl = Decode::decode(r)?;
+                let count = r.usize_varint()?;
+                // Same allocation guard as the job vector's.
+                if count > r.remaining() {
+                    return Err(r.error("key count exceeds buffer"));
+                }
+                let mut keys = Vec::with_capacity(count);
+                for _ in 0..count {
+                    keys.push(r.length_prefixed()?.to_vec());
+                }
                 Frame::FetchResults { ttl, keys }
-            }
-            7 => {
-                let (ttl, keys) = decode_fetch(r)?;
-                Frame::FetchArtifacts { ttl, keys }
             }
             8 => Frame::FetchHit {
                 idx: Decode::decode(r)?,
@@ -578,8 +547,6 @@ mod tests {
                 schema: 1,
                 entries: 230,
                 bytes: 41000,
-                artifacts: 5,
-                artifact_bytes: 9000,
             }),
             ..BatchStats::default()
         }
@@ -629,10 +596,6 @@ mod tests {
                 ttl: 3,
                 keys: vec![vec![0x01, 0x02], vec![], vec![0xFE]],
             },
-            Frame::FetchArtifacts {
-                ttl: 0,
-                keys: vec![vec![0x42; 9]],
-            },
             Frame::FetchHit {
                 idx: 2,
                 entry: vec![0x43, 0x46, 0x52, 0x53, 0x01],
@@ -663,23 +626,23 @@ mod tests {
     }
 
     /// Golden bytes: pins frame tags, field orders, and integer
-    /// encodings of protocol v1. If this fails, the wire format changed
+    /// encodings of protocol v2. If this fails, the wire format changed
     /// — bump [`PROTO_VERSION`] and update the expectation.
     #[test]
-    fn golden_bytes_pin_protocol_v1() {
-        assert_eq!(PROTO_VERSION, 1);
+    fn golden_bytes_pin_protocol_v2() {
+        assert_eq!(PROTO_VERSION, 2);
         let hello = Frame::Hello {
-            proto: 1,
+            proto: 2,
             schema: 1,
             fingerprint: 0x0123_4567_89AB_CDEF,
         };
-        assert_eq!(hex(&hello.to_bytes()), "000101ef9bafcdf8acd19101");
+        assert_eq!(hex(&hello.to_bytes()), "000201ef9bafcdf8acd19101");
 
         let ack = Frame::HelloAck {
-            proto: 1,
+            proto: 2,
             schema: 1,
         };
-        assert_eq!(hex(&ack.to_bytes()), "010101");
+        assert_eq!(hex(&ack.to_bytes()), "010201");
 
         let submit = Frame::SubmitBatch {
             batch_id: 300,
@@ -711,6 +674,25 @@ mod tests {
         };
         assert_eq!(hex(&done.to_bytes()), "040102010100008001008001e80700");
 
+        let stored = Frame::BatchDone {
+            batch_id: 2,
+            stats: BatchStats {
+                requests: 1,
+                disk_hits: 1,
+                store: Some(StoreLine {
+                    root: "/s".to_string(),
+                    schema: 1,
+                    entries: 3,
+                    bytes: 200,
+                }),
+                ..BatchStats::default()
+            },
+        };
+        assert_eq!(
+            hex(&stored.to_bytes()),
+            "0402 01000001 0000000000 01 022f73 01 03 c801".replace(' ', "")
+        );
+
         let err = Frame::Error {
             code: ErrorCode::MalformedJob,
             message: "bad".to_string(),
@@ -718,11 +700,10 @@ mod tests {
         assert_eq!(hex(&err.to_bytes()), "050403626164");
     }
 
-    /// Golden bytes for the remote-warm-tier fetch frames (tags 6–9) and
-    /// the remote-counter tail of [`BatchStats`]. The tail is
+    /// Golden bytes for the remote-warm-tier fetch frames (tags 6, 8 and
+    /// 9) and the remote-counter tail of [`BatchStats`]. The tail is
     /// default-invisible: a remote-quiet stats block encodes exactly the
-    /// v1 bytes (pinned above), so these pins are additive and the v1
-    /// goldens never move.
+    /// bytes pinned above, so these pins are additive.
     #[test]
     fn golden_bytes_pin_fetch_frames() {
         let fetch = Frame::FetchResults {
@@ -730,12 +711,6 @@ mod tests {
             keys: vec![vec![0xAA, 0xBB], vec![0xCC]],
         };
         assert_eq!(hex(&fetch.to_bytes()), "06030202aabb01cc");
-
-        let fetch_art = Frame::FetchArtifacts {
-            ttl: 0,
-            keys: vec![vec![0xDD]],
-        };
-        assert_eq!(hex(&fetch_art.to_bytes()), "07000101dd");
 
         let hit = Frame::FetchHit {
             idx: 5,
@@ -760,10 +735,10 @@ mod tests {
         );
     }
 
-    /// A remote-quiet [`BatchStats`] must encode byte-identically to v1
-    /// — the default-invisible half of the tail-extension contract — and
-    /// a truncated (v1-written) stats block must decode with zeroed
-    /// remote counters.
+    /// A remote-quiet [`BatchStats`] must encode without the tail — the
+    /// default-invisible half of the tail-extension contract — and a
+    /// stats block without the tail must decode with zeroed remote
+    /// counters.
     #[test]
     fn remote_counter_tail_is_default_invisible() {
         let quiet = sample_stats();
@@ -777,7 +752,7 @@ mod tests {
         assert_eq!(
             &extended.to_bytes()[..bytes.len()],
             &bytes[..],
-            "the tail must extend, not reshape, the v1 encoding"
+            "the tail must extend, not reshape, the quiet encoding"
         );
         let decoded = BatchStats::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, quiet);
@@ -836,12 +811,12 @@ mod tests {
 
     #[test]
     fn unknown_tags_error_with_offsets() {
-        assert_eq!(Frame::from_bytes(&[10]).unwrap_err().offset, 0);
-        assert_eq!(
-            Frame::from_bytes(&[10]).unwrap_err().reason,
-            "unknown frame tag",
-            "a v1 daemon refuses fetch-era tags typed, never panics"
-        );
+        // Tag 7 is the retired v1 artifact fetch; 10 was never assigned.
+        for tag in [7u8, 10] {
+            let err = Frame::from_bytes(&[tag, 0, 1, 1, 0xDD]).unwrap_err();
+            assert_eq!(err.offset, 0, "tag {tag}");
+            assert_eq!(err.reason, "unknown frame tag", "tag {tag}");
+        }
         assert_eq!(
             Frame::from_bytes(&[5, 99, 0]).unwrap_err().reason,
             "unknown error-code tag"
@@ -867,14 +842,12 @@ mod tests {
 
     #[test]
     fn garbled_fetch_key_count_is_rejected_without_allocating() {
-        for tag in [6u8, 7] {
-            let mut bytes = vec![tag];
-            wire::put_varint(&mut bytes, 3); // ttl
-            wire::put_varint(&mut bytes, u64::MAX / 2); // insane key count
-            assert_eq!(
-                Frame::from_bytes(&bytes).unwrap_err().reason,
-                "key count exceeds buffer"
-            );
-        }
+        let mut bytes = vec![6u8];
+        wire::put_varint(&mut bytes, 3); // ttl
+        wire::put_varint(&mut bytes, u64::MAX / 2); // insane key count
+        assert_eq!(
+            Frame::from_bytes(&bytes).unwrap_err().reason,
+            "key count exceeds buffer"
+        );
     }
 }

@@ -26,8 +26,6 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use confluence_store::Tier;
-
 use crate::protocol::{
     self, BatchStats, ErrorCode, Frame, RecvError, FETCH_HOP_LIMIT, PROTO_VERSION,
 };
@@ -108,12 +106,12 @@ pub trait BatchHost: Send + Sync + 'static {
 
     /// Answers one batched fetch from a peer (or a daemonless client):
     /// for each encoded store key, the raw verified entry bytes from
-    /// this host's store in `tier`, or `None` for a miss. With `ttl > 0`
+    /// this host's store, or `None` for a miss. With `ttl > 0`
     /// the host may consult its own peers (forwarding `ttl - 1`) before
     /// conceding a miss. Must return exactly `keys.len()` slots. The
     /// default — a host with no store — misses everything.
-    fn fetch_batch(&self, tier: Tier, ttl: u32, keys: &[Vec<u8>]) -> Vec<Option<Vec<u8>>> {
-        let _ = (tier, ttl);
+    fn fetch_batch(&self, ttl: u32, keys: &[Vec<u8>]) -> Vec<Option<Vec<u8>>> {
+        let _ = ttl;
         vec![None; keys.len()]
     }
 
@@ -121,8 +119,7 @@ pub trait BatchHost: Send + Sync + 'static {
     fn snapshot(&self) -> Self::Snapshot;
 
     /// Settles a batch: computes delta stats against `before`, and
-    /// performs any end-of-batch maintenance (artifact persistence,
-    /// store GC).
+    /// performs any end-of-batch maintenance (store GC).
     fn finish_batch(&self, before: Self::Snapshot) -> BatchStats;
 }
 
@@ -255,7 +252,12 @@ fn serve_loop<H: BatchHost>(
                 stream.set_nonblocking(false)?;
                 let host = Arc::clone(&host);
                 let handle = thread::spawn(move || handle_connection(stream, &*host));
-                conns.lock().unwrap().push(handle);
+                let mut conns = conns.lock().unwrap();
+                // Drop the handles of connections that already ended, so a
+                // daemon that never stops holds one handle per live
+                // connection, not one per connection it ever accepted.
+                conns.retain(|conn| !conn.is_finished());
+                conns.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(ACCEPT_POLL);
@@ -322,12 +324,7 @@ fn handle_connection<H: BatchHost>(mut stream: UnixStream, host: &H) {
                 }
             }
             Ok(Frame::FetchResults { ttl, keys }) => {
-                if !serve_fetch(&mut stream, host, Tier::Result, ttl, &keys) {
-                    return;
-                }
-            }
-            Ok(Frame::FetchArtifacts { ttl, keys }) => {
-                if !serve_fetch(&mut stream, host, Tier::Artifact, ttl, &keys) {
+                if !serve_fetch(&mut stream, host, ttl, &keys) {
                     return;
                 }
             }
@@ -355,11 +352,10 @@ fn handle_connection<H: BatchHost>(mut stream: UnixStream, host: &H) {
 fn serve_fetch<H: BatchHost>(
     stream: &mut UnixStream,
     host: &H,
-    tier: Tier,
     ttl: u32,
     keys: &[Vec<u8>],
 ) -> bool {
-    let entries = host.fetch_batch(tier, ttl.min(FETCH_HOP_LIMIT), keys);
+    let entries = host.fetch_batch(ttl.min(FETCH_HOP_LIMIT), keys);
     if entries.len() != keys.len() {
         refuse(
             stream,
@@ -489,5 +485,64 @@ mod tests {
         let stats = BatchStats::default();
         assert_eq!(stats.requests, 0);
         assert!(stats.store.is_none());
+    }
+
+    /// A host that accepts every handshake and is never sent a batch.
+    struct IdleHost;
+
+    impl BatchHost for IdleHost {
+        type Snapshot = ();
+
+        fn schema(&self) -> u32 {
+            1
+        }
+
+        fn validate_hello(&self, _: u32, _: u64) -> Result<(), Rejection> {
+            Ok(())
+        }
+
+        fn threads(&self) -> usize {
+            1
+        }
+
+        fn cost_hint(&self, _: &[u8]) -> u64 {
+            0
+        }
+
+        fn run_job(&self, _: &[u8]) -> Result<Vec<u8>, Rejection> {
+            Ok(Vec::new())
+        }
+
+        fn snapshot(&self) {}
+
+        fn finish_batch(&self, _: ()) -> BatchStats {
+            BatchStats::default()
+        }
+    }
+
+    /// A daemon that never stops must not keep one thread handle per
+    /// connection it ever served: finished ones go at the next accept.
+    #[test]
+    fn finished_connection_handles_are_not_retained() {
+        const CONNECTIONS: usize = 16;
+        let sock =
+            std::env::temp_dir().join(format!("confluence-serve-reap-{}.sock", std::process::id()));
+        let host = Arc::new(IdleHost);
+        let server = Server::bind(&sock, Arc::clone(&host)).unwrap().spawn();
+        for _ in 0..CONNECTIONS {
+            drop(crate::Client::connect(&sock, 1, 0).unwrap());
+            // Each connection thread owns a clone of the host until it
+            // returns; wait for the one just closed before opening the
+            // next, so every earlier connection has ended by then.
+            while Arc::strong_count(&host) > 2 {
+                thread::yield_now();
+            }
+        }
+        let retained = server.conns.lock().unwrap().len();
+        assert!(
+            retained <= 2,
+            "{retained} handles retained after {CONNECTIONS} sequential connections"
+        );
+        server.stop().unwrap();
     }
 }

@@ -18,19 +18,16 @@ fn arb_store_line() -> impl Strategy<Value = StoreLine> {
     (
         prop::collection::vec(0u8..128, 0..24),
         any::<u32>(),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        any::<u64>(),
+        any::<u64>(),
     )
-        .prop_map(
-            |(root, schema, (entries, bytes, artifacts, artifact_bytes))| StoreLine {
-                // Arbitrary ASCII path; the codec only requires UTF-8.
-                root: root.into_iter().map(|b| (b % 94 + 33) as char).collect(),
-                schema,
-                entries,
-                bytes,
-                artifacts,
-                artifact_bytes,
-            },
-        )
+        .prop_map(|(root, schema, entries, bytes)| StoreLine {
+            // Arbitrary ASCII path; the codec only requires UTF-8.
+            root: root.into_iter().map(|b| (b % 94 + 33) as char).collect(),
+            schema,
+            entries,
+            bytes,
+        })
 }
 
 fn arb_stats() -> impl Strategy<Value = BatchStats> {
@@ -104,8 +101,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         }),
         (0u32..8, prop::collection::vec(arb_blob(), 0..6))
             .prop_map(|(ttl, keys)| Frame::FetchResults { ttl, keys }),
-        (0u32..8, prop::collection::vec(arb_blob(), 0..6))
-            .prop_map(|(ttl, keys)| Frame::FetchArtifacts { ttl, keys }),
         (any::<u32>(), arb_blob()).prop_map(|(idx, entry)| Frame::FetchHit { idx, entry }),
         (any::<u32>(), any::<u32>()).prop_map(|(hits, misses)| Frame::FetchDone { hits, misses }),
     ]

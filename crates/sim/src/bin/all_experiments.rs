@@ -26,7 +26,7 @@ use confluence_sim::experiments;
 const USAGE: &str = "all_experiments [--quick] [--csv | --markdown] [--serial | \
      --compare-serial] [--threads N] [--store-dir DIR | --no-store] \
      [--store-cap-bytes N] [--peer SOCK]... [--peer-timeout-ms N] \
-     [--no-warm-artifacts] [--no-fastpath] [--connect SOCK]";
+     [--no-fastpath] [--connect SOCK]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -6,13 +6,11 @@
 //! Clients are the ordinary batch binaries run with `--connect SOCK`
 //! (`all_experiments`, `sweeps`, `timing_figs`); their stdout is
 //! byte-identical to an in-process run, while all execution, caching,
-//! warm-artifact import (once per workload per daemon lifetime, not per
-//! batch), and store maintenance happen here.
+//! and store maintenance happen here.
 //!
 //! Usage: `confluence-serve --socket PATH [--quick] [--threads N]
 //! [--store-dir DIR | --no-store] [--store-cap-bytes N]
-//! [--peer SOCK]... [--peer-timeout-ms N]
-//! [--no-warm-artifacts] [--no-fastpath]`
+//! [--peer SOCK]... [--peer-timeout-ms N] [--no-fastpath]`
 //!
 //! `--peer SOCK` (repeatable) names other daemons forming a **remote
 //! warm tier**: a key that misses this daemon's memory and disk is
@@ -46,12 +44,7 @@ fn main() {
     }
     cli::reject_unknown_args(
         &args,
-        &[
-            "--quick",
-            "--no-store",
-            "--no-warm-artifacts",
-            "--no-fastpath",
-        ],
+        &["--quick", "--no-store", "--no-fastpath"],
         &[
             "--socket",
             "--threads",
@@ -62,8 +55,7 @@ fn main() {
         ],
         "confluence-serve --socket PATH [--quick] [--threads N] \
          [--store-dir DIR | --no-store] [--store-cap-bytes N] \
-         [--peer SOCK]... [--peer-timeout-ms N] \
-         [--no-warm-artifacts] [--no-fastpath]",
+         [--peer SOCK]... [--peer-timeout-ms N] [--no-fastpath]",
     );
     let flags = cli::parse_common(&args);
     let cfg = flags.config();

@@ -20,8 +20,7 @@ use confluence_sim::Job;
 
 const USAGE: &str = "sweeps [--list] [--study NAME]... [--quick] [--csv | --markdown] \
      [--threads N] [--store-dir DIR | --no-store] [--store-cap-bytes N] \
-     [--peer SOCK]... [--peer-timeout-ms N] \
-     [--no-warm-artifacts] [--no-fastpath] [--connect SOCK]";
+     [--peer SOCK]... [--peer-timeout-ms N] [--no-fastpath] [--connect SOCK]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -35,8 +35,7 @@ fn figures(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Report> {
 
 const USAGE: &str = "timing_figs [--quick] [--csv | --markdown] [--compare-serial] \
      [--threads N] [--store-dir DIR | --no-store] [--store-cap-bytes N] \
-     [--peer SOCK]... [--peer-timeout-ms N] \
-     [--no-warm-artifacts] [--no-fastpath] [--connect SOCK]";
+     [--peer SOCK]... [--peer-timeout-ms N] [--no-fastpath] [--connect SOCK]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -12,13 +12,6 @@
 //! The store is always opened at the current [`SCHEMA_VERSION`]
 //! (`crate::codec`), so entries written by older schemas are invisible
 //! rather than wrong.
-//!
-//! With a store attached, runs also use its **warm-artifact tier** —
-//! persisted path-memo tables that let executors replay from record zero
-//! even in a cold process — unless `--no-warm-artifacts` (or the
-//! [`NO_WARM_ARTIFACTS_ENV`](crate::engine::NO_WARM_ARTIFACTS_ENV)
-//! environment variable) turns it off. Artifacts never change results,
-//! only wall-clock time.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -53,7 +46,6 @@ pub const COMMON_SWITCHES: &[&str] = &[
     "--csv",
     "--markdown",
     "--no-store",
-    "--no-warm-artifacts",
     "--no-fastpath",
 ];
 
@@ -120,8 +112,7 @@ pub fn reject_unknown_args(args: &[String], switches: &[&str], value_flags: &[&s
 /// [`run_figure`]); batch binaries append their extras to it.
 pub const FIGURE_USAGE_TAIL: &str = "[--quick] [--csv | --markdown] [--threads N] \
      [--store-dir DIR | --no-store] [--store-cap-bytes N] \
-     [--peer SOCK]... [--peer-timeout-ms N] \
-     [--no-warm-artifacts] [--no-fastpath]";
+     [--peer SOCK]... [--peer-timeout-ms N] [--no-fastpath]";
 
 /// The value of `--flag V` or `--flag=V` on the command line, else the
 /// `env` fallback (when given and non-empty). `what` names the expected
@@ -270,18 +261,10 @@ pub fn peers_from_args(args: &[String]) -> Option<crate::peers::PeerSet> {
     ))
 }
 
-/// Whether the command line leaves the store's warm-artifact tier on:
-/// `--no-warm-artifacts` turns it off, everything else defers to the
-/// engine's environment-resolved default.
-pub fn warm_artifacts_from_args(args: &[String]) -> bool {
-    !args.iter().any(|a| a == "--no-warm-artifacts")
-}
-
 /// Attaches the persistent store requested by `args` (if any) to an
-/// engine, honouring `--no-warm-artifacts`. Exits with status 2 if an
-/// explicitly requested store cannot be opened — silently dropping
-/// persistence the caller asked for would waste every simulation in the
-/// run.
+/// engine. Exits with status 2 if an explicitly requested store cannot
+/// be opened — silently dropping persistence the caller asked for would
+/// waste every simulation in the run.
 pub fn attach_store(engine: SimEngine, args: &[String]) -> SimEngine {
     // In connect mode persistence belongs to the daemon: jobs never
     // execute locally, so a local store would only record nothing and
@@ -300,11 +283,6 @@ pub fn attach_store(engine: SimEngine, args: &[String]) -> SimEngine {
         }
         return engine;
     }
-    let engine = if warm_artifacts_from_args(args) {
-        engine
-    } else {
-        engine.with_warm_artifacts(false)
-    };
     let engine = match store_dir_from_args(args) {
         Some(dir) => match ResultStore::open(&dir, SCHEMA_VERSION) {
             Ok(store) => engine.with_store(store),
@@ -379,18 +357,6 @@ pub fn run_store_gc(engine: &SimEngine, args: &[String]) {
     }
 }
 
-/// The store tail of every run: write newly recorded path-memo tables
-/// back to the warm-artifact tier, then apply the requested GC cap (the
-/// order matters — fresh artifacts must be on disk before the cap
-/// decides what to shed). A no-op without a store.
-pub fn finish_store(engine: &SimEngine, args: &[String]) {
-    let written = engine.persist_warm_artifacts();
-    if written > 0 {
-        eprintln!("warm artifacts: wrote {written} memo table(s) to the store");
-    }
-    run_store_gc(engine, args);
-}
-
 /// The flags shared by the multi-report binaries (`all_experiments`,
 /// `sweeps`): scale, output format, and worker-pool width.
 #[derive(Clone, Copy, Debug, Default)]
@@ -428,16 +394,11 @@ impl CommonFlags {
 }
 
 /// Parses the [`CommonFlags`] out of a command line. Exits with status 2
-/// on a malformed `--threads`, a malformed store cap
-/// (`--store-cap-bytes` / `CONFLUENCE_STORE_CAP`), or a malformed
-/// [`CONFLUENCE_MEMO_CAP`](confluence_trace::MEMO_CAP_ENV) — bad knobs
-/// fail up front, before any workload is generated, instead of being
-/// silently replaced by defaults mid-run.
+/// on a malformed `--threads` or a malformed store cap
+/// (`--store-cap-bytes` / `CONFLUENCE_STORE_CAP`) — bad knobs fail up
+/// front, before any workload is generated, instead of being silently
+/// replaced by defaults mid-run.
 pub fn parse_common(args: &[String]) -> CommonFlags {
-    if let Err(e) = confluence_trace::MemoCaps::try_from_env() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     store_cap_from_args(args); // exits 2 on a malformed cap
     let threads = flag_value(args, "--threads", "an integer value", None).map(|v| {
         v.parse::<usize>().unwrap_or_else(|_| {
@@ -483,7 +444,7 @@ pub fn run_figure(figure: fn(&SimEngine, &ExperimentConfig) -> Report) {
     }
     let engine = attach_store(engine, &args);
     println!("{}", flags.render(&figure(&engine, &cfg)));
-    finish_store(&engine, &args);
+    run_store_gc(&engine, &args);
     eprintln!("{}", cache_summary(&engine));
 }
 
@@ -615,7 +576,7 @@ pub fn finish_batch(
         (run.stats.executed, run.stats.disk_hits),
         "formatting must be pure cache hits"
     );
-    finish_store(engine, args);
+    run_store_gc(engine, args);
     match &run.daemon {
         Some(stats) => eprintln!("{}", daemon_cache_summary(stats)),
         None => eprintln!("{}", cache_summary(engine)),
@@ -683,9 +644,8 @@ pub fn compare_serial(
 
 /// One-line cache accounting for a finished run, printed to stderr by
 /// every binary so report output on stdout stays byte-comparable. The
-/// trailing memo section is the warm-path audit trail: a fully
-/// artifact-warm run shows replay hits with `0 recorded` (CI asserts
-/// exactly that).
+/// trailing memo section is the warm-path audit trail: a run served
+/// entirely from the store shows `0 recorded` (CI asserts exactly that).
 pub fn cache_summary(engine: &SimEngine) -> String {
     let stats = engine.stats();
     let store = match engine.store() {
@@ -696,8 +656,6 @@ pub fn cache_summary(engine: &SimEngine) -> String {
                 s.schema(),
                 usage.entries as u64,
                 usage.bytes,
-                usage.artifacts as u64,
-                usage.artifact_bytes,
             )
         }
         None => "store disabled".to_string(),
@@ -717,19 +675,11 @@ pub fn cache_summary(engine: &SimEngine) -> String {
 
 /// The same one-line accounting, rendered from a daemon's `BatchDone`
 /// stats instead of a local engine — so a `--connect` run's stderr
-/// carries the identical audit trail (CI greps the `0 recorded` memo
-/// tail on warm daemon runs exactly as it does in process). The
-/// `daemon cache:` prefix marks whose counters these are.
+/// carries the identical audit trail. The `daemon cache:` prefix marks
+/// whose counters these are.
 pub fn daemon_cache_summary(stats: &confluence_serve::BatchStats) -> String {
     let store = match &stats.store {
-        Some(l) => store_segment(
-            &l.root,
-            l.schema,
-            l.entries,
-            l.bytes,
-            l.artifacts,
-            l.artifact_bytes,
-        ),
+        Some(l) => store_segment(&l.root, l.schema, l.entries, l.bytes),
         None => "store disabled".to_string(),
     };
     let engine_stats = EngineStats {
@@ -755,18 +705,8 @@ pub fn daemon_cache_summary(stats: &confluence_serve::BatchStats) -> String {
 
 /// The store segment of a cache summary, shared by the local and daemon
 /// renderings so the two cannot drift apart.
-fn store_segment(
-    root: &str,
-    schema: u32,
-    entries: u64,
-    bytes: u64,
-    artifacts: u64,
-    artifact_bytes: u64,
-) -> String {
-    format!(
-        "store {root} (schema v{schema}, {entries} entries, {bytes} bytes, \
-         {artifacts} artifacts, {artifact_bytes} artifact bytes)"
-    )
+fn store_segment(root: &str, schema: u32, entries: u64, bytes: u64) -> String {
+    format!("store {root} (schema v{schema}, {entries} entries, {bytes} bytes)")
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -865,15 +805,6 @@ mod tests {
         if std::env::var_os(STORE_CAP_ENV).is_none() {
             assert_eq!(store_cap_from_args(&args(&["--quick"])), None);
         }
-    }
-
-    #[test]
-    fn warm_artifact_flag_parses() {
-        assert!(warm_artifacts_from_args(&args(&["--quick"])));
-        assert!(!warm_artifacts_from_args(&args(&[
-            "--quick",
-            "--no-warm-artifacts"
-        ])));
     }
 
     #[test]

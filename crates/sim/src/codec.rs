@@ -52,25 +52,6 @@ impl Encode for StoreKey<'_> {
     }
 }
 
-/// The on-disk key of a workload's warm-execution artifact (its
-/// converged path-memo table): a domain tag plus the generating spec.
-/// Program generation and translation are deterministic functions of the
-/// spec, so the spec's content hash names the memo exactly; the domain
-/// tag keeps artifact keys from ever colliding with [`StoreKey`] bytes
-/// even though the tiers already live in separate files.
-#[derive(Clone, Copy, Debug)]
-pub struct ArtifactKey<'a> {
-    /// Spec of the program the memo was converged over.
-    pub spec: &'a WorkloadSpec,
-}
-
-impl Encode for ArtifactKey<'_> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"warm-memo");
-        encode_spec(self.spec, out);
-    }
-}
-
 fn tag_error(offset: usize, reason: &'static str) -> WireError {
     WireError { offset, reason }
 }

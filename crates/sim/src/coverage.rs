@@ -7,10 +7,10 @@
 //! absent at prediction time (Section 2.1).
 //!
 //! The record streams consumed here come from [`Program::stream`], so
-//! when the engine has pre-loaded a warm-execution artifact (a persisted
-//! path-memo table), every run starts in replay mode from record zero —
-//! the streams, and therefore every counter, are bit-identical either
-//! way; warmth only changes how fast the records are produced.
+//! once an earlier job over the same program has warmed its path memo,
+//! a run replays memoized request paths — the streams, and therefore
+//! every counter, are bit-identical either way; warmth only changes how
+//! fast the records are produced.
 
 use confluence_btb::{BtbDesign, ResolvedBranch};
 use confluence_prefetch::{ShiftEngine, ShiftHistory};

@@ -9,18 +9,17 @@
 //! (`crate::codec`), runs it through the shared engine (inheriting its
 //! in-flight dedup, so two clients submitting the same content-keyed
 //! job trigger one execution and two results), and settles each batch
-//! with artifact persistence and store GC. The handshake pins
-//! [`SCHEMA_VERSION`] and the [`workloads_fingerprint`] of the engine's
-//! generator specs, so a quick-mode client talking to a full-mode
-//! daemon is a typed `ConfigMismatch` refusal, never silently different
-//! numbers.
+//! with store GC. The handshake pins [`SCHEMA_VERSION`] and the
+//! [`workloads_fingerprint`] of the engine's generator specs, so a
+//! quick-mode client talking to a full-mode daemon is a typed
+//! `ConfigMismatch` refusal, never silently different numbers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use confluence_serve::{BatchHost, BatchStats, ErrorCode, Rejection, StoreLine};
 use confluence_serve::{Client, ClientError};
-use confluence_store::{Decode, Encode, Tier};
+use confluence_store::{Decode, Encode};
 use confluence_trace::MemoStats;
 
 use crate::codec::{output_matches, workloads_fingerprint, SCHEMA_VERSION};
@@ -138,8 +137,8 @@ impl BatchHost for EngineHost {
         self.engine.prefetch_remote(&decoded);
     }
 
-    fn fetch_batch(&self, tier: Tier, ttl: u32, keys: &[Vec<u8>]) -> Vec<Option<Vec<u8>>> {
-        self.engine.fetch_remote_raw(tier, ttl, keys)
+    fn fetch_batch(&self, ttl: u32, keys: &[Vec<u8>]) -> Vec<Option<Vec<u8>>> {
+        self.engine.fetch_remote_raw(ttl, keys)
     }
 
     fn snapshot(&self) -> EngineSnapshot {
@@ -150,12 +149,7 @@ impl BatchHost for EngineHost {
     }
 
     fn finish_batch(&self, before: EngineSnapshot) -> BatchStats {
-        // Maintenance first — fresh artifacts on disk, then the cap —
-        // so the store line below reports post-GC occupancy.
-        let written = self.engine.persist_warm_artifacts();
-        if written > 0 {
-            eprintln!("confluence-serve: wrote {written} memo table(s) to the store");
-        }
+        // GC first, so the store line below reports post-GC occupancy.
         if let (Some(store), Some(cap)) = (self.engine.store(), self.store_cap) {
             let gc = store.evict_to_cap(cap);
             if gc.evicted_entries > 0 {
@@ -187,8 +181,6 @@ impl BatchHost for EngineHost {
                     schema: s.schema(),
                     entries: usage.entries as u64,
                     bytes: usage.bytes,
-                    artifacts: usage.artifacts as u64,
-                    artifact_bytes: usage.artifact_bytes,
                 }
             }),
             remote_hits: stats.remote_hits.saturating_sub(before.stats.remote_hits),

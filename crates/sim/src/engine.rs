@@ -37,26 +37,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use confluence_serve::FETCH_HOP_LIMIT;
-use confluence_store::{Encode, ResultStore, Tier};
-use confluence_trace::{ExecMode, MemoStats, MemoTable, Program, Workload};
+use confluence_store::{Encode, ResultStore};
+use confluence_trace::{ExecMode, MemoStats, Program, Workload};
 
 use crate::cmp::{simulate_cmp_with_shards_mode, TimingResult};
-use crate::codec::{output_matches, workloads_fingerprint, ArtifactKey, StoreKey};
+use crate::codec::{output_matches, workloads_fingerprint, StoreKey};
 use crate::coverage::{branch_density_mode, run_coverage_with_mode, CoverageResult};
 use crate::job::{CoverageJob, DensityJob, Job, JobOutput, TimingJob};
 use crate::peers::PeerSet;
-
-/// Environment variable that disables the persistent warm-artifact tier
-/// when set to a non-empty value other than `0` (the
-/// `--no-warm-artifacts` CLI flag sets the same thing explicitly).
-/// Results never depend on it — artifacts only replay paths the executor
-/// would re-derive bit-identically.
-pub const NO_WARM_ARTIFACTS_ENV: &str = "CONFLUENCE_NO_WARM_ARTIFACTS";
-
-/// Resolves the warm-artifact default from [`NO_WARM_ARTIFACTS_ENV`].
-fn warm_artifacts_from_env() -> bool {
-    !matches!(std::env::var_os(NO_WARM_ARTIFACTS_ENV), Some(v) if !v.is_empty() && v != *"0")
-}
 
 /// Snapshot of the engine's cache accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,13 +59,13 @@ pub struct EngineStats {
     /// Unique jobs served from the persistent result store instead of
     /// being simulated.
     pub disk_hits: u64,
-    /// Entries (results and artifacts) fetched from remote peers and
-    /// promoted into the local store. A promoted result is then served
-    /// as a `disk_hits` entry — `remote_hits` counts where the bytes
-    /// came from, not an extra serving tier.
+    /// Results fetched from remote peers and promoted into the local
+    /// store. A promoted result is then served as a `disk_hits` entry —
+    /// `remote_hits` counts where the bytes came from, not an extra
+    /// serving tier.
     pub remote_hits: u64,
     /// Completed batched fetch exchanges with peers (at most one per
-    /// consulted peer per tier per batch).
+    /// consulted peer per batch).
     pub remote_round_trips: u64,
     /// Raw entry bytes received from peers (verified or not).
     pub remote_bytes: u64,
@@ -121,20 +109,6 @@ pub struct SimEngine {
     mode: ExecMode,
     cache: Mutex<HashMap<Job, Arc<Slot>>>,
     store: Option<ResultStore>,
-    /// Whether the store's warm-artifact tier is consulted/written. With
-    /// it on, the first job to *execute* against a workload first imports
-    /// that workload's persisted path-memo table (so even a cold process
-    /// replays from record zero), and [`SimEngine::persist_warm_artifacts`]
-    /// writes back whatever the run newly recorded.
-    warm_artifacts: bool,
-    /// Workloads whose artifact load already happened (hit or miss) —
-    /// the import is idempotent but the disk read is worth doing once.
-    warm_loaded: Mutex<HashSet<Workload>>,
-    /// Artifact imports that actually loaded a table, over the engine's
-    /// whole lifetime. Observability for the daemon's once-per-lifetime
-    /// import guarantee: a second batch over the same workloads must
-    /// leave this unchanged.
-    warm_imports: AtomicU64,
     /// The remote warm tier: peer daemons consulted (batched, once per
     /// batch) for keys missing from both memory and local disk. Fetched
     /// entries are re-verified and promoted into the local store, so
@@ -162,9 +136,6 @@ impl SimEngine {
             mode: ExecMode::from_env(),
             cache: Mutex::new(HashMap::new()),
             store: None,
-            warm_artifacts: warm_artifacts_from_env(),
-            warm_loaded: Mutex::new(HashSet::new()),
-            warm_imports: AtomicU64::new(0),
             peers: None,
             requests: AtomicU64::new(0),
             executed: AtomicU64::new(0),
@@ -222,21 +193,6 @@ impl SimEngine {
     /// The attached peer set, if any.
     pub fn peers(&self) -> Option<&PeerSet> {
         self.peers.as_ref()
-    }
-
-    /// Overrides whether the store's warm-artifact tier is used (the
-    /// default is resolved from [`NO_WARM_ARTIFACTS_ENV`]). Like the exec
-    /// mode, this only moves wall-clock time: artifacts replay paths the
-    /// executors would otherwise re-record, bit for bit.
-    pub fn with_warm_artifacts(mut self, on: bool) -> Self {
-        self.warm_artifacts = on;
-        self
-    }
-
-    /// Whether the warm-artifact tier is enabled (it still needs an
-    /// attached store to do anything).
-    pub fn warm_artifacts(&self) -> bool {
-        self.warm_artifacts
     }
 
     /// The worker-pool width.
@@ -446,12 +402,11 @@ impl SimEngine {
     /// The remote pre-pass of a batch: collects every unique job with
     /// no in-memory result and no local disk entry, fetches the lot
     /// from the peers in **one batched round trip** (per consulted
-    /// peer), re-verifies and promotes each returned entry into the
-    /// local store, and — only for workloads that still have to execute
-    /// — fetches their warm artifacts the same way. A no-op without
-    /// peers or without a store; any peer failure degrades to local
-    /// simulation. Jobs whose workload this engine does not serve are
-    /// skipped here and left to the per-job path's own error handling.
+    /// peer), and re-verifies and promotes each returned entry into the
+    /// local store. A no-op without peers or without a store; any peer
+    /// failure degrades to local simulation. Jobs whose workload this
+    /// engine does not serve are skipped here and left to the per-job
+    /// path's own error handling.
     pub fn prefetch_remote(&self, jobs: &[Job]) {
         let (Some(peers), Some(store)) = (&self.peers, &self.store) else {
             return;
@@ -460,7 +415,7 @@ impl SimEngine {
         // Unique jobs missing from both local tiers. Keys merely in
         // flight are skipped too: whoever claimed them is already
         // producing the result.
-        let mut missing: Vec<(&Job, Vec<u8>)> = Vec::new();
+        let mut missing: Vec<Vec<u8>> = Vec::new();
         {
             let mut seen = HashSet::with_capacity(jobs.len());
             let cache = self.cache.lock().expect("engine cache poisoned");
@@ -472,67 +427,24 @@ impl SimEngine {
                     continue;
                 }
                 let key = self.store_key(job).to_bytes();
-                if store.load_raw(&key, Tier::Result).is_none() {
-                    missing.push((job, key));
+                if store.load_raw(&key).is_none() {
+                    missing.push(key);
                 }
             }
         }
         if missing.is_empty() {
             return;
         }
-        let keys: Vec<Vec<u8>> = missing.iter().map(|(_, k)| k.clone()).collect();
-        let fetched = peers.fetch(fingerprint, Tier::Result, FETCH_HOP_LIMIT, &keys);
+        let fetched = peers.fetch(fingerprint, FETCH_HOP_LIMIT, &missing);
         self.remote_round_trips
             .fetch_add(fetched.round_trips, Ordering::Relaxed);
         self.remote_bytes
             .fetch_add(fetched.bytes, Ordering::Relaxed);
-        let mut unresolved: Vec<&Job> = Vec::new();
-        for ((job, key), entry) in missing.iter().zip(fetched.entries) {
-            match entry {
-                // adopt_raw re-verifies every byte; a lying peer's entry
-                // falls through to `unresolved` and re-simulates.
-                Some(data) if store.adopt_raw(key, &data, Tier::Result) => {
-                    self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => unresolved.push(job),
-            }
-        }
-        // Warm artifacts only help jobs that will actually execute, so a
-        // fully-served batch stops at exactly one round trip.
-        if !self.warm_artifacts || unresolved.is_empty() {
-            return;
-        }
-        let mut wl_seen = HashSet::new();
-        let mut art_keys: Vec<Vec<u8>> = Vec::new();
-        {
-            let loaded = self.warm_loaded.lock().expect("warm-loaded poisoned");
-            for job in unresolved {
-                let workload = job.workload();
-                if !wl_seen.insert(workload) || loaded.contains(&workload) {
-                    continue;
-                }
-                let key = ArtifactKey {
-                    spec: self.program(workload).spec(),
-                }
-                .to_bytes();
-                if store.load_raw(&key, Tier::Artifact).is_none() {
-                    art_keys.push(key);
-                }
-            }
-        }
-        if art_keys.is_empty() {
-            return;
-        }
-        let fetched = peers.fetch(fingerprint, Tier::Artifact, FETCH_HOP_LIMIT, &art_keys);
-        self.remote_round_trips
-            .fetch_add(fetched.round_trips, Ordering::Relaxed);
-        self.remote_bytes
-            .fetch_add(fetched.bytes, Ordering::Relaxed);
-        for (key, entry) in art_keys.iter().zip(fetched.entries) {
-            if let Some(data) = entry {
-                if store.adopt_raw(key, &data, Tier::Artifact) {
-                    self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                }
+        for (key, entry) in missing.iter().zip(fetched.entries) {
+            // adopt_raw re-verifies every byte; a lying peer's entry is
+            // not adopted and its job re-simulates.
+            if entry.is_some_and(|data| store.adopt_raw(key, &data)) {
+                self.remote_hits.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -544,12 +456,11 @@ impl SimEngine {
     /// mutually-peered daemons terminate instead of recursing); entries
     /// a further peer supplies are promoted locally before being served
     /// onward. Without a store everything is a miss.
-    pub fn fetch_remote_raw(&self, tier: Tier, ttl: u32, keys: &[Vec<u8>]) -> Vec<Option<Vec<u8>>> {
+    pub fn fetch_remote_raw(&self, ttl: u32, keys: &[Vec<u8>]) -> Vec<Option<Vec<u8>>> {
         let Some(store) = &self.store else {
             return vec![None; keys.len()];
         };
-        let mut entries: Vec<Option<Vec<u8>>> =
-            keys.iter().map(|k| store.load_raw(k, tier)).collect();
+        let mut entries: Vec<Option<Vec<u8>>> = keys.iter().map(|k| store.load_raw(k)).collect();
         let missing: Vec<usize> = (0..keys.len()).filter(|&i| entries[i].is_none()).collect();
         if missing.is_empty() || ttl == 0 {
             return entries;
@@ -559,14 +470,14 @@ impl SimEngine {
         };
         let subset: Vec<Vec<u8>> = missing.iter().map(|&i| keys[i].clone()).collect();
         let fingerprint = workloads_fingerprint(&self.workloads);
-        let fetched = peers.fetch(fingerprint, tier, ttl - 1, &subset);
+        let fetched = peers.fetch(fingerprint, ttl - 1, &subset);
         self.remote_round_trips
             .fetch_add(fetched.round_trips, Ordering::Relaxed);
         self.remote_bytes
             .fetch_add(fetched.bytes, Ordering::Relaxed);
         for (&slot, entry) in missing.iter().zip(fetched.entries) {
             if let Some(data) = entry {
-                if store.adopt_raw(&keys[slot], &data, tier) {
+                if store.adopt_raw(&keys[slot], &data) {
                     self.remote_hits.fetch_add(1, Ordering::Relaxed);
                     entries[slot] = Some(data);
                 }
@@ -606,66 +517,6 @@ impl SimEngine {
         }
     }
 
-    /// Pre-loads `workload`'s persisted path-memo table before its first
-    /// execution in this process, so the executors the job spins up start
-    /// in replay mode from record zero. Runs at most one disk read per
-    /// workload; a missing, corrupt, or mismatched artifact is simply a
-    /// miss (the run re-records and [`SimEngine::persist_warm_artifacts`]
-    /// repairs the file).
-    fn ensure_warm_artifacts(&self, workload: Workload) {
-        if !self.warm_artifacts {
-            return;
-        }
-        let Some(store) = &self.store else { return };
-        let mut loaded = self.warm_loaded.lock().expect("warm-loaded poisoned");
-        if !loaded.insert(workload) {
-            return;
-        }
-        let program = self.program(workload);
-        if let Some(table) = store.load_artifact::<MemoTable>(&ArtifactKey {
-            spec: program.spec(),
-        }) {
-            program.compiled().import_memo(&table);
-            self.warm_imports.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// How many warm-artifact imports actually loaded a table so far.
-    /// At most one per workload per engine lifetime — the figure a
-    /// long-running daemon amortizes across every batch it serves.
-    pub fn warm_imports(&self) -> u64 {
-        self.warm_imports.load(Ordering::Relaxed)
-    }
-
-    /// Writes each workload's newly recorded paths back to the store's
-    /// artifact tier; returns how many artifact files were written. A
-    /// no-op without a store or with the tier disabled, and — because
-    /// imports mark the bank clean — a fully warm run writes nothing,
-    /// leaving artifact mtimes (and thus GC order) undisturbed.
-    /// Workloads the run never translated are skipped, not compiled.
-    pub fn persist_warm_artifacts(&self) -> usize {
-        if !self.warm_artifacts {
-            return 0;
-        }
-        let Some(store) = &self.store else { return 0 };
-        let mut written = 0;
-        for (_, program) in &self.workloads {
-            let Some(compiled) = program.compiled_if_translated() else {
-                continue;
-            };
-            let Some(table) = compiled.export_new_memo() else {
-                continue;
-            };
-            let key = ArtifactKey {
-                spec: program.spec(),
-            };
-            if store.save_artifact(&key, &table).is_ok() {
-                written += 1;
-            }
-        }
-        written
-    }
-
     /// Aggregate path-memo accounting across the workloads this process
     /// actually translated (untranslated programs have no bank to read).
     pub fn memo_stats(&self) -> MemoStats {
@@ -684,7 +535,6 @@ impl SimEngine {
     }
 
     fn execute(&self, job: &Job) -> JobOutput {
-        self.ensure_warm_artifacts(job.workload());
         match job {
             Job::Coverage(c) => {
                 let program = self.program(c.workload);
@@ -980,107 +830,6 @@ mod tests {
         assert_eq!(stats.disk_hits, 1);
         assert_eq!(stats.executed, 1);
         assert_eq!(mixed.store().unwrap().len(), 2);
-    }
-
-    /// The on-disk warm-artifact file for a tiny engine's workload.
-    fn tiny_artifact_path(engine: &SimEngine) -> std::path::PathBuf {
-        let key = ArtifactKey {
-            spec: engine.program(Workload::WebFrontend).spec(),
-        };
-        engine.store().expect("store attached").artifact_path(&key)
-    }
-
-    #[test]
-    fn warm_artifacts_preload_replays_instead_of_recording() {
-        let dir = StoreDir::new("artifact");
-        let job = tiny_job();
-
-        let cold = tiny_engine()
-            .with_store(dir.open())
-            .with_warm_artifacts(true);
-        let expected = cold.coverage(&job);
-        assert!(cold.memo_stats().recorded > 0, "cold run must record paths");
-        assert_eq!(cold.persist_warm_artifacts(), 1);
-        let art_path = tiny_artifact_path(&cold);
-        assert!(art_path.is_file(), "artifact file must land on disk");
-        // Nothing new recorded since the export: a second persist is a
-        // no-op and must not rewrite the file.
-        let mtime = std::fs::metadata(&art_path).unwrap().modified().unwrap();
-        assert_eq!(cold.persist_warm_artifacts(), 0);
-        assert_eq!(
-            std::fs::metadata(&art_path).unwrap().modified().unwrap(),
-            mtime
-        );
-
-        // Make the fresh engine actually execute (not disk-hit the
-        // result): drop the result tier, keep the artifact tier.
-        std::fs::remove_file(tiny_entry_path(&cold, &job)).unwrap();
-
-        let warm = tiny_engine()
-            .with_store(dir.open())
-            .with_warm_artifacts(true);
-        assert_eq!(
-            warm.coverage(&job),
-            expected,
-            "warm replay is bit-identical"
-        );
-        let stats = warm.memo_stats();
-        assert!(stats.replayed > 0, "warm run must replay from the artifact");
-        assert_eq!(stats.recorded, 0, "a fully warm run records nothing new");
-        assert_eq!(warm.persist_warm_artifacts(), 0, "imported bank is clean");
-    }
-
-    #[test]
-    fn corrupt_artifact_is_a_miss_then_repaired() {
-        let dir = StoreDir::new("artifact-corrupt");
-        let job = tiny_job();
-
-        let cold = tiny_engine()
-            .with_store(dir.open())
-            .with_warm_artifacts(true);
-        let expected = cold.coverage(&job);
-        cold.persist_warm_artifacts();
-        let art_path = tiny_artifact_path(&cold);
-        let clean = std::fs::read(&art_path).unwrap();
-        let mut garbled = clean.clone();
-        let mid = garbled.len() / 2;
-        garbled[mid] ^= 0x04;
-        std::fs::write(&art_path, &garbled).unwrap();
-        std::fs::remove_file(tiny_entry_path(&cold, &job)).unwrap();
-
-        let repaired = tiny_engine()
-            .with_store(dir.open())
-            .with_warm_artifacts(true);
-        assert_eq!(
-            repaired.coverage(&job),
-            expected,
-            "a garbled artifact must never change results"
-        );
-        // In-process memo hits still happen, but the import itself must
-        // have missed: the run re-records (a warm import records nothing).
-        assert!(
-            repaired.memo_stats().recorded > 0,
-            "corrupt artifact must be a miss that re-records"
-        );
-        assert_eq!(repaired.persist_warm_artifacts(), 1);
-        assert_eq!(
-            std::fs::read(&art_path).unwrap(),
-            clean,
-            "re-recording must rebuild the identical canonical artifact"
-        );
-    }
-
-    #[test]
-    fn warm_artifacts_off_touches_no_artifact_files() {
-        let dir = StoreDir::new("artifact-off");
-        let job = tiny_job();
-        let engine = tiny_engine()
-            .with_store(dir.open())
-            .with_warm_artifacts(false);
-        engine.coverage(&job);
-        assert_eq!(engine.persist_warm_artifacts(), 0);
-        assert!(!tiny_artifact_path(&engine).exists());
-        assert_eq!(engine.store().unwrap().usage().artifacts, 0);
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! local disk store.
 //!
 //! A [`PeerSet`] never changes results, only where warm bytes come
-//! from. Every fetch is **batched** — one `FetchResults` /
-//! `FetchArtifacts` exchange per peer per batch of misses, so a cold
-//! batch costs one round trip, not one per job — and every fetched
-//! entry is re-verified byte-for-byte by `ResultStore::adopt_raw`
-//! before anything trusts it: a corrupt or lying peer demotes to a
-//! miss (the job re-simulates and the write-back repairs the local
-//! slot), never poisons the store. A dead or wedged peer surfaces as a
+//! from. Every fetch is **batched** — one `FetchResults` exchange per
+//! peer per batch of misses, so a cold batch costs one round trip, not
+//! one per job — and every fetched entry is re-verified byte-for-byte
+//! by `ResultStore::adopt_raw` before anything trusts it: a corrupt or
+//! lying peer demotes to a miss (the job re-simulates and the
+//! write-back repairs the local slot), never poisons the store. A dead or wedged peer surfaces as a
 //! timed-out connect/read, earns one stderr note, and the batch
 //! completes by simulating locally — degradation, not failure.
 //!
@@ -23,7 +22,6 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use confluence_serve::{Client, ClientError};
-use confluence_store::Tier;
 
 use crate::codec::SCHEMA_VERSION;
 
@@ -75,7 +73,7 @@ impl PeerSet {
     /// and skipped — its keys stay misses. `fingerprint` is this
     /// engine's workload-config fingerprint for the handshake; `ttl`
     /// bounds how many further hops a peer may take on our behalf.
-    pub fn fetch(&self, fingerprint: u64, tier: Tier, ttl: u32, keys: &[Vec<u8>]) -> PeerFetch {
+    pub fn fetch(&self, fingerprint: u64, ttl: u32, keys: &[Vec<u8>]) -> PeerFetch {
         let mut out = PeerFetch {
             entries: vec![None; keys.len()],
             round_trips: 0,
@@ -89,7 +87,7 @@ impl PeerSet {
                 break;
             }
             let subset: Vec<Vec<u8>> = missing.iter().map(|&i| keys[i].clone()).collect();
-            match fetch_one(sock, self.timeout, fingerprint, tier, ttl, subset) {
+            match fetch_one(sock, self.timeout, fingerprint, ttl, subset) {
                 Ok(fetched) => {
                     out.round_trips += 1;
                     for (&slot, entry) in missing.iter().zip(fetched) {
@@ -116,12 +114,11 @@ fn fetch_one(
     sock: &Path,
     timeout: Duration,
     fingerprint: u64,
-    tier: Tier,
     ttl: u32,
     keys: Vec<Vec<u8>>,
 ) -> Result<Vec<Option<Vec<u8>>>, ClientError> {
     let mut client = Client::connect_with_timeout(sock, SCHEMA_VERSION, fingerprint, timeout)?;
-    client.fetch(tier, ttl, keys)
+    client.fetch(ttl, keys)
 }
 
 #[cfg(test)]
@@ -135,7 +132,7 @@ mod tests {
             Duration::from_millis(50),
         );
         let keys = vec![vec![1u8, 2, 3], vec![4u8]];
-        let fetched = peers.fetch(0xABCD, Tier::Result, 1, &keys);
+        let fetched = peers.fetch(0xABCD, 1, &keys);
         assert_eq!(fetched.entries, vec![None, None]);
         assert_eq!(
             fetched.round_trips, 0,
@@ -147,7 +144,7 @@ mod tests {
     #[test]
     fn empty_peer_set_fetches_nothing() {
         let peers = PeerSet::new(Vec::new(), DEFAULT_PEER_TIMEOUT);
-        let fetched = peers.fetch(0, Tier::Artifact, 0, &[vec![9u8]]);
+        let fetched = peers.fetch(0, 0, &[vec![9u8]]);
         assert_eq!(fetched.entries, vec![None]);
         assert_eq!(fetched.round_trips, 0);
     }

@@ -1,8 +1,8 @@
 //! Spawn tests for strict argument parsing: every binary rejects
 //! unknown flags with exit code 2, the offending argument, and a usage
 //! line — a typo'd `--qiuck` must not silently run the full experiment
-//! it was trying to abbreviate. Malformed cache-cap environment
-//! variables get the same treatment from both knobs.
+//! it was trying to abbreviate. A malformed store-cap environment
+//! variable gets the same treatment.
 //!
 //! These run the real release of each binary via `CARGO_BIN_EXE_*`, so
 //! they pin the end-to-end behaviour (argv → exit status → stderr), not
@@ -19,7 +19,6 @@ fn run(exe: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
         "CONFLUENCE_STORE",
         "CONFLUENCE_STORE_CAP",
         "CONFLUENCE_CONNECT",
-        "CONFLUENCE_MEMO_CAP",
         "CONFLUENCE_PEER",
     ] {
         cmd.env_remove(var);
@@ -70,6 +69,12 @@ fn batch_binaries_reject_typoed_flags() {
         "--stduy",
     );
     assert_rejects(env!("CARGO_BIN_EXE_timing_figs"), &["--sreial"], "--sreial");
+    // A removed flag is as unknown as a typo.
+    assert_rejects(
+        env!("CARGO_BIN_EXE_all_experiments"),
+        &["--quick", "--no-warm-artifacts"],
+        "--no-warm-artifacts",
+    );
 }
 
 #[test]
@@ -192,21 +197,7 @@ fn peer_flags_parse_strictly_in_every_binary() {
 }
 
 #[test]
-fn malformed_cache_caps_exit_2_from_both_knobs() {
-    // The memo cap (compile-time memoization) and the store cap (disk
-    // store eviction) fail the same way: exit 2, named variable.
-    let out = run(
-        env!("CARGO_BIN_EXE_fig1"),
-        &["--quick"],
-        &[("CONFLUENCE_MEMO_CAP", "banana")],
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("CONFLUENCE_MEMO_CAP") && stderr.contains("banana"),
-        "stderr must name the variable and value: {stderr}"
-    );
-
+fn malformed_store_cap_env_exits_2() {
     let out = run(
         env!("CARGO_BIN_EXE_fig1"),
         &["--quick"],

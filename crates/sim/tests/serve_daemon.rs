@@ -2,8 +2,7 @@
 //! `confluence_serve::Server` mounted over an [`EngineHost`], exercised
 //! through real Unix-domain sockets by real [`Client`]s — concurrent
 //! clients with overlapping batches, warm second batches, store GC,
-//! once-per-lifetime artifact imports, and the protocol's typed failure
-//! paths.
+//! the remote warm tier, and the protocol's typed failure paths.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -136,56 +135,25 @@ fn concurrent_clients_share_exactly_once_execution() {
 }
 
 #[test]
-fn warm_second_batch_executes_nothing_and_reimports_nothing() {
+fn warm_second_batch_executes_nothing() {
     let dir = scratch("warm");
     let sock = dir.join("daemon.sock");
-    let store_dir = dir.join("store");
     let jobs = tiny_jobs();
-
-    // Populate the store — results and warm artifacts — with a plain
-    // in-process run, then delete the result entries so only the
-    // artifact tier remains: the CI "artifact-warm" shape.
-    {
-        let engine = tiny_engine()
-            .with_store(ResultStore::open(&store_dir, SCHEMA_VERSION).expect("store opens"));
-        engine.run(&jobs);
-        assert!(engine.persist_warm_artifacts() > 0, "artifacts written");
-    }
-    let versioned = store_dir.join(format!("v{SCHEMA_VERSION}"));
-    for entry in std::fs::read_dir(&versioned).expect("store dir exists") {
-        let path = entry.expect("readable").path();
-        if path.extension().is_some_and(|x| x == "bin") {
-            std::fs::remove_file(&path).expect("evict result entry");
-        }
-    }
-
     let engine = tiny_engine()
-        .with_store(ResultStore::open(&store_dir, SCHEMA_VERSION).expect("store reopens"))
-        .with_warm_artifacts(true);
-    let (host, handle) = spawn_daemon(engine, &sock, None);
+        .with_store(ResultStore::open(dir.join("store"), SCHEMA_VERSION).expect("store opens"));
+    let (_host, handle) = spawn_daemon(engine, &sock, None);
 
-    // Batch 1: result entries are gone, so everything executes — but in
-    // replay mode off the imported artifact, recording nothing new.
+    // Batch 1: a cold daemon executes every job.
     let local1 = tiny_engine();
     let stats1 = submit_jobs(&sock, &local1, &jobs).expect("first batch");
     assert_eq!(stats1.executed, jobs.len() as u64);
-    assert!(stats1.memo_replayed > 0, "artifact-warm run replays");
-    assert_eq!(stats1.memo_recorded, 0, "artifact-warm run records nothing");
-    let imports_after_first = host.engine().warm_imports();
-    assert_eq!(imports_after_first, 1, "one workload, one import");
 
-    // Batch 2 (fresh client): pure memory hits, and — the PR 7 caveat
-    // fixed — the daemon does not re-import the memo table per batch.
+    // Batch 2 (fresh client): pure memory hits — not even disk reads.
     let local2 = tiny_engine();
     let stats2 = submit_jobs(&sock, &local2, &jobs).expect("second batch");
     assert_eq!(stats2.executed, 0, "warm daemon executes nothing");
     assert_eq!(stats2.disk_hits, 0);
     assert_eq!(stats2.hits, jobs.len() as u64);
-    assert_eq!(
-        host.engine().warm_imports(),
-        imports_after_first,
-        "second batch must not re-import artifacts"
-    );
 
     // Both clients still decode identical bytes.
     let expected = reference_outputs(&jobs);
@@ -215,11 +183,7 @@ fn daemon_applies_store_cap_after_each_batch() {
     assert_eq!(stats.executed, jobs.len() as u64);
 
     let usage = host.engine().store().expect("store attached").usage();
-    assert_eq!(
-        (usage.entries, usage.artifacts),
-        (0, 0),
-        "post-batch GC must enforce the cap"
-    );
+    assert_eq!(usage.entries, 0, "post-batch GC must enforce the cap");
     // The BatchDone store line reflects post-GC occupancy.
     let line = stats.store.expect("store line present");
     assert_eq!(line.entries, 0);
@@ -244,6 +208,25 @@ fn mismatched_handshakes_are_typed_refusals() {
         Err(ClientError::Daemon { code, .. }) => assert_eq!(code, ErrorCode::ConfigMismatch),
         Err(other) => panic!("config mismatch must be a typed refusal, got {other:?}"),
         Ok(_) => panic!("config mismatch must not connect"),
+    }
+    // A client speaking the previous frame protocol is refused typed
+    // before it can misread a v2 `BatchDone`.
+    {
+        use std::os::unix::net::UnixStream;
+        let mut stream = UnixStream::connect(&sock).expect("connect");
+        protocol::send(
+            &mut stream,
+            &Frame::Hello {
+                proto: 1,
+                schema: SCHEMA_VERSION,
+                fingerprint,
+            },
+        )
+        .expect("hello");
+        match protocol::recv(&mut stream) {
+            Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::ProtoMismatch),
+            other => panic!("a v1 hello must earn a typed refusal, got {other:?}"),
+        }
     }
     // The daemon is not poisoned: a correct handshake still succeeds.
     Client::connect(&sock, SCHEMA_VERSION, fingerprint).expect("valid handshake accepted");
@@ -323,13 +306,12 @@ fn malformed_traffic_gets_typed_errors_and_never_poisons() {
 }
 
 /// A result-store directory pre-warmed with every `tiny_jobs` result
-/// (and warm artifacts) by a plain in-process run.
+/// by a plain in-process run.
 fn warmed_store(dir: &Path) -> PathBuf {
     let store_dir = dir.join("store-warm");
     let engine = tiny_engine()
         .with_store(ResultStore::open(&store_dir, SCHEMA_VERSION).expect("store opens"));
     engine.run(&tiny_jobs());
-    engine.persist_warm_artifacts();
     store_dir
 }
 
@@ -514,9 +496,7 @@ fn lying_peer_demotes_to_miss_and_write_back_repairs() {
                 },
             );
             let keys = match protocol::recv(&mut stream) {
-                Ok(Frame::FetchResults { keys, .. }) | Ok(Frame::FetchArtifacts { keys, .. }) => {
-                    keys
-                }
+                Ok(Frame::FetchResults { keys, .. }) => keys,
                 _ => continue,
             };
             for idx in 0..keys.len() as u32 {

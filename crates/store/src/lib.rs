@@ -23,5 +23,5 @@ mod store;
 pub mod wire;
 
 pub use codec::{Decode, Encode};
-pub use store::{verify_entry, GcStats, ResultStore, StoreUsage, Tier};
+pub use store::{verify_entry, GcStats, ResultStore, StoreUsage};
 pub use wire::{read_frame, write_frame, FrameError, Reader, WireError};

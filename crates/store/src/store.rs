@@ -35,34 +35,8 @@ const MAGIC: [u8; 4] = *b"CFRS";
 const CONTAINER_VERSION: u8 = 1;
 /// magic + container version + schema + trailing checksum.
 const MIN_ENTRY_LEN: usize = 4 + 1 + 4 + 8;
-/// File extension of the result tier.
+/// File extension of a result entry.
 const RESULT_EXT: &str = "bin";
-/// File extension of the warm-artifact tier (persisted execution warmth —
-/// e.g. converged path-memo tables — as opposed to job results). Same
-/// container, same verification, same atomicity; a separate extension so
-/// the two tiers are accounted for distinctly while GC sweeps both.
-const ARTIFACT_EXT: &str = "art";
-
-/// Which of the store's two on-disk tiers an operation addresses:
-/// `.bin` job results or `.art` warm-execution artifacts. Raw-bytes
-/// operations ([`ResultStore::load_raw`], [`ResultStore::adopt_raw`])
-/// name the tier explicitly; the typed paths have one method per tier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Tier {
-    /// The `.bin` result tier.
-    Result,
-    /// The `.art` warm-artifact tier.
-    Artifact,
-}
-
-impl Tier {
-    fn ext(self) -> &'static str {
-        match self {
-            Tier::Result => RESULT_EXT,
-            Tier::Artifact => ARTIFACT_EXT,
-        }
-    }
-}
 
 /// A persistent, content-addressed map from encoded keys to encoded
 /// values, safe for concurrent use from multiple threads and processes.
@@ -103,18 +77,12 @@ impl ResultStore {
 
     /// The file an entry for `key` lives at (whether or not it exists).
     pub fn entry_path(&self, key: &impl Encode) -> PathBuf {
-        self.path_for(&key.to_bytes(), RESULT_EXT)
+        self.path_for(&key.to_bytes())
     }
 
-    /// The file a warm artifact for `key` lives at (whether or not it
-    /// exists).
-    pub fn artifact_path(&self, key: &impl Encode) -> PathBuf {
-        self.path_for(&key.to_bytes(), ARTIFACT_EXT)
-    }
-
-    fn path_for(&self, key_bytes: &[u8], ext: &str) -> PathBuf {
+    fn path_for(&self, key_bytes: &[u8]) -> PathBuf {
         self.root
-            .join(format!("{:016x}.{ext}", wire::fnv1a(key_bytes)))
+            .join(format!("{:016x}.{RESULT_EXT}", wire::fnv1a(key_bytes)))
     }
 
     /// Looks up `key`, returning its decoded value. Any failure — missing
@@ -122,18 +90,8 @@ impl ResultStore {
     /// error — is a miss (`None`): a corrupt entry must never be trusted,
     /// and the caller's re-computation will overwrite it.
     pub fn load<V: Decode>(&self, key: &impl Encode) -> Option<V> {
-        self.load_at(key, RESULT_EXT)
-    }
-
-    /// Looks up `key` in the warm-artifact tier, with exactly the
-    /// verification (and miss semantics) of [`ResultStore::load`].
-    pub fn load_artifact<V: Decode>(&self, key: &impl Encode) -> Option<V> {
-        self.load_at(key, ARTIFACT_EXT)
-    }
-
-    fn load_at<V: Decode>(&self, key: &impl Encode, ext: &str) -> Option<V> {
         let key_bytes = key.to_bytes();
-        let data = fs::read(self.path_for(&key_bytes, ext)).ok()?;
+        let data = fs::read(self.path_for(&key_bytes)).ok()?;
         parse_entry(&data, self.schema, &key_bytes)
     }
 
@@ -145,20 +103,6 @@ impl ResultStore {
     /// Errors if the temporary file cannot be written or renamed into
     /// place. The previous entry, if any, is untouched on error.
     pub fn save(&self, key: &impl Encode, value: &impl Encode) -> io::Result<()> {
-        self.save_at(key, value, RESULT_EXT)
-    }
-
-    /// Writes `key -> value` into the warm-artifact tier, with exactly
-    /// the framing and atomicity of [`ResultStore::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ResultStore::save`].
-    pub fn save_artifact(&self, key: &impl Encode, value: &impl Encode) -> io::Result<()> {
-        self.save_at(key, value, ARTIFACT_EXT)
-    }
-
-    fn save_at(&self, key: &impl Encode, value: &impl Encode, ext: &str) -> io::Result<()> {
         let key_bytes = key.to_bytes();
         let mut body = Vec::new();
         body.extend_from_slice(&MAGIC);
@@ -168,7 +112,7 @@ impl ResultStore {
         wire::put_length_prefixed(&mut body, &value.to_bytes());
         let checksum = wire::fnv1a(&body);
         wire::put_u64_le(&mut body, checksum);
-        self.write_atomic(&self.path_for(&key_bytes, ext), &body)
+        self.write_atomic(&self.path_for(&key_bytes), &body)
     }
 
     fn write_atomic(&self, final_path: &Path, body: &[u8]) -> io::Result<()> {
@@ -186,57 +130,47 @@ impl ResultStore {
             })
     }
 
-    /// Looks up `key_bytes` in `tier` and returns the *entire verified
-    /// entry file* — container framing included — for transport to
+    /// Looks up `key_bytes` and returns the *entire verified entry file* — container framing included — for transport to
     /// another store. The buffer passes the full read verification
     /// (checksum, header, schema, exact key match) before it is handed
     /// out, so a serving peer never ships a corrupt entry; any defect is
     /// a miss. The receiving side re-verifies via
     /// [`ResultStore::adopt_raw`].
-    pub fn load_raw(&self, key_bytes: &[u8], tier: Tier) -> Option<Vec<u8>> {
-        let data = fs::read(self.path_for(key_bytes, tier.ext())).ok()?;
+    pub fn load_raw(&self, key_bytes: &[u8]) -> Option<Vec<u8>> {
+        let data = fs::read(self.path_for(key_bytes)).ok()?;
         verify_entry(&data, self.schema, key_bytes)?;
         Some(data)
     }
 
-    /// Installs a whole entry buffer fetched from a remote store into
-    /// `tier`, re-verifying every byte first: checksum, magic, container
+    /// Installs a whole entry buffer fetched from a remote store,
+    /// re-verifying every byte first: checksum, magic, container
     /// version, schema, an exact match of the embedded key against
     /// `key_bytes`, and full consumption. Returns `false` — and writes
     /// nothing — if the buffer fails verification (a lying or corrupt
     /// peer demotes to a miss, never poisons) or if the atomic write
     /// fails. On `true` the entry is durably in place and a subsequent
     /// typed load will see it.
-    pub fn adopt_raw(&self, key_bytes: &[u8], data: &[u8], tier: Tier) -> bool {
+    pub fn adopt_raw(&self, key_bytes: &[u8], data: &[u8]) -> bool {
         if verify_entry(data, self.schema, key_bytes).is_none() {
             return false;
         }
-        self.write_atomic(&self.path_for(key_bytes, tier.ext()), data)
-            .is_ok()
+        self.write_atomic(&self.path_for(key_bytes), data).is_ok()
     }
 
-    /// Per-tier entry counts and bytes on disk for this schema version,
-    /// in one directory pass (the first slice of store GC: knowing what a
-    /// wipe would reclaim). Counts only committed `.bin` result entries
-    /// and `.art` warm artifacts, never in-flight `.tmp` files, so
-    /// concurrent writers don't perturb the figures.
+    /// Entry count and bytes on disk for this schema version, in one
+    /// directory pass (the first slice of store GC: knowing what a wipe
+    /// would reclaim). Counts only committed `.bin` entries, never
+    /// in-flight `.tmp` files, so concurrent writers don't perturb the
+    /// figures.
     pub fn usage(&self) -> StoreUsage {
         let Ok(dir) = fs::read_dir(&self.root) else {
             return StoreUsage::default();
         };
         let mut usage = StoreUsage::default();
         for e in dir.filter_map(|e| e.ok()) {
-            let path = e.path();
-            let Some(ext) = path.extension() else {
-                continue;
-            };
-            let len = e.metadata().map(|m| m.len()).unwrap_or(0);
-            if ext == RESULT_EXT {
+            if e.path().extension().is_some_and(|x| x == RESULT_EXT) {
                 usage.entries += 1;
-                usage.bytes += len;
-            } else if ext == ARTIFACT_EXT {
-                usage.artifacts += 1;
-                usage.artifact_bytes += len;
+                usage.bytes += e.metadata().map(|m| m.len()).unwrap_or(0);
             }
         }
         usage
@@ -252,19 +186,16 @@ impl ResultStore {
         self.len() == 0
     }
 
-    /// Total bytes on disk for this schema version, across both tiers —
-    /// the figure [`ResultStore::evict_to_cap`] caps.
+    /// Total entry bytes on disk for this schema version — the figure
+    /// [`ResultStore::evict_to_cap`] caps.
     pub fn size_bytes(&self) -> u64 {
-        let usage = self.usage();
-        usage.bytes + usage.artifact_bytes
+        self.usage().bytes
     }
 
     /// Garbage-collects the store down to `cap_bytes`, deleting
     /// oldest-modified files first (save refreshes an entry's mtime, so
     /// "oldest" means least-recently *written*, the store's best proxy
-    /// for cold). Both tiers — result entries and warm artifacts — count
-    /// against the cap and age out of one interleaved oldest-first order,
-    /// so `--store-cap-bytes` is a true bound on what the store occupies.
+    /// for cold), so `--store-cap-bytes` bounds what the entries occupy.
     /// Ties break on file name for cross-run determinism.
     ///
     /// Best-effort like every other maintenance path: an entry that
@@ -279,11 +210,7 @@ impl ResultStore {
         };
         let mut entries: Vec<(std::time::SystemTime, PathBuf, u64)> = dir
             .filter_map(|e| e.ok())
-            .filter(|e| {
-                e.path()
-                    .extension()
-                    .is_some_and(|x| x == RESULT_EXT || x == ARTIFACT_EXT)
-            })
+            .filter(|e| e.path().extension().is_some_and(|x| x == RESULT_EXT))
             .filter_map(|e| {
                 let meta = e.metadata().ok()?;
                 Some((meta.modified().ok()?, e.path(), meta.len()))
@@ -316,17 +243,13 @@ pub struct GcStats {
     pub evicted_bytes: u64,
 }
 
-/// On-disk accounting of one schema version, split by tier.
+/// On-disk accounting of one schema version.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreUsage {
-    /// Committed result entry files.
+    /// Committed entry files.
     pub entries: usize,
     /// Their total size in bytes.
     pub bytes: u64,
-    /// Committed warm-artifact files.
-    pub artifacts: usize,
-    /// Their total size in bytes.
-    pub artifact_bytes: u64,
 }
 
 /// Verifies one entry buffer's container framing — trailing checksum,
@@ -433,83 +356,9 @@ mod tests {
             StoreUsage {
                 entries: 2,
                 bytes: expected,
-                artifacts: 0,
-                artifact_bytes: 0,
             },
             "usage must report both figures from one pass"
         );
-    }
-
-    #[test]
-    fn artifact_tier_roundtrips_and_is_accounted_separately() {
-        let dir = TestDir::new();
-        let store = ResultStore::open(&dir.0, 1).unwrap();
-        store.save(&7u64, &vec![1u64, 2]).unwrap();
-        store.save_artifact(&7u64, &vec![9u64, 8, 7]).unwrap();
-        // Same key, two tiers, two files — neither shadows the other.
-        assert_eq!(store.load::<Vec<u64>>(&7u64), Some(vec![1, 2]));
-        assert_eq!(store.load_artifact::<Vec<u64>>(&7u64), Some(vec![9, 8, 7]));
-        assert_ne!(store.entry_path(&7u64), store.artifact_path(&7u64));
-        let usage = store.usage();
-        assert_eq!((usage.entries, usage.artifacts), (1, 1));
-        assert!(usage.artifact_bytes > 0);
-        assert_eq!(store.size_bytes(), usage.bytes + usage.artifact_bytes);
-        // `len`/`is_empty` speak about results only.
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn corrupt_artifact_is_a_miss_and_a_save_repairs_it() {
-        let dir = TestDir::new();
-        let store = ResultStore::open(&dir.0, 1).unwrap();
-        store.save_artifact(&3u64, &0xFEEDu64).unwrap();
-        let path = store.artifact_path(&3u64);
-        let clean = fs::read(&path).unwrap();
-        // Truncations and bit flips both demote to a miss.
-        fs::write(&path, &clean[..clean.len() / 2]).unwrap();
-        assert_eq!(store.load_artifact::<u64>(&3u64), None);
-        let mut garbled = clean.clone();
-        garbled[clean.len() / 2] ^= 0x40;
-        fs::write(&path, &garbled).unwrap();
-        assert_eq!(store.load_artifact::<u64>(&3u64), None);
-        store.save_artifact(&3u64, &0xFEEDu64).unwrap();
-        assert_eq!(store.load_artifact::<u64>(&3u64), Some(0xFEED));
-        assert_eq!(fs::read(&path).unwrap(), clean);
-    }
-
-    #[test]
-    fn gc_cap_spans_both_tiers_oldest_first() {
-        let dir = TestDir::new();
-        let store = ResultStore::open(&dir.0, 1).unwrap();
-        // Interleave the tiers oldest→newest: result 0, artifact 1,
-        // result 2, artifact 3 (distinct mtimes as in the result-only GC
-        // test).
-        for k in 0..4u64 {
-            if k % 2 == 0 {
-                store.save(&k, &vec![k; 8]).unwrap();
-            } else {
-                store.save_artifact(&k, &vec![k; 8]).unwrap();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(15));
-        }
-        let total = store.size_bytes();
-        let entry_len = fs::metadata(store.entry_path(&0u64)).unwrap().len();
-        // Room for everything but the two oldest files (one per tier).
-        let cap = total - 2 * entry_len + entry_len / 2;
-        let gc = store.evict_to_cap(cap);
-        assert_eq!(gc.evicted_entries, 2, "cap must evict across both tiers");
-        assert!(store.size_bytes() <= cap, "cap must bound both tiers");
-        assert_eq!(store.load::<Vec<u64>>(&0u64), None, "oldest result goes");
-        assert_eq!(
-            store.load_artifact::<Vec<u64>>(&1u64),
-            None,
-            "oldest artifact goes"
-        );
-        assert!(store.load::<Vec<u64>>(&2u64).is_some());
-        assert!(store.load_artifact::<Vec<u64>>(&3u64).is_some());
-        // Cap zero clears artifacts too.
-        store.evict_to_cap(0);
-        assert_eq!(store.usage(), StoreUsage::default());
     }
 
     #[test]
@@ -643,18 +492,13 @@ mod tests {
         let src = ResultStore::open(&src_dir.0, 1).unwrap();
         let dst = ResultStore::open(&dst_dir.0, 1).unwrap();
         src.save(&7u64, &vec![1u64, 2, 3]).unwrap();
-        src.save_artifact(&7u64, &vec![9u64]).unwrap();
 
         let key = 7u64.to_bytes();
-        let raw = src.load_raw(&key, Tier::Result).unwrap();
+        let raw = src.load_raw(&key).unwrap();
         assert_eq!(raw, fs::read(src.entry_path(&7u64)).unwrap());
-        assert!(dst.adopt_raw(&key, &raw, Tier::Result));
+        assert!(dst.adopt_raw(&key, &raw));
         assert_eq!(dst.load::<Vec<u64>>(&7u64), Some(vec![1, 2, 3]));
-
-        let art = src.load_raw(&key, Tier::Artifact).unwrap();
-        assert!(dst.adopt_raw(&key, &art, Tier::Artifact));
-        assert_eq!(dst.load_artifact::<Vec<u64>>(&7u64), Some(vec![9]));
-        assert_eq!(src.load_raw(&8u64.to_bytes(), Tier::Result), None);
+        assert_eq!(src.load_raw(&8u64.to_bytes()), None);
     }
 
     #[test]
@@ -668,9 +512,9 @@ mod tests {
         let mut garbled = clean.clone();
         garbled[clean.len() / 2] ^= 0x10;
         fs::write(&path, &garbled).unwrap();
-        assert_eq!(store.load_raw(&key, Tier::Result), None);
+        assert_eq!(store.load_raw(&key), None);
         fs::write(&path, &clean[..clean.len() - 3]).unwrap();
-        assert_eq!(store.load_raw(&key, Tier::Result), None);
+        assert_eq!(store.load_raw(&key), None);
     }
 
     #[test]
@@ -681,24 +525,24 @@ mod tests {
         let src = ResultStore::open(&donor.0, 1).unwrap();
         src.save(&5u64, &0xBEEFu64).unwrap();
         let key = 5u64.to_bytes();
-        let clean = src.load_raw(&key, Tier::Result).unwrap();
+        let clean = src.load_raw(&key).unwrap();
 
         // Every single-bit flip of a fetched entry must be refused.
         for byte in 0..clean.len() {
             let mut garbled = clean.clone();
             garbled[byte] ^= 0x01;
             assert!(
-                !store.adopt_raw(&key, &garbled, Tier::Result),
+                !store.adopt_raw(&key, &garbled),
                 "flipped byte {byte} must not be adopted"
             );
         }
         // Truncations, garbage, and a foreign key likewise.
-        assert!(!store.adopt_raw(&key, &clean[..clean.len() / 2], Tier::Result));
-        assert!(!store.adopt_raw(&key, b"not an entry", Tier::Result));
-        assert!(!store.adopt_raw(&6u64.to_bytes(), &clean, Tier::Result));
+        assert!(!store.adopt_raw(&key, &clean[..clean.len() / 2]));
+        assert!(!store.adopt_raw(&key, b"not an entry"));
+        assert!(!store.adopt_raw(&6u64.to_bytes(), &clean));
         assert_eq!(store.usage(), StoreUsage::default(), "nothing written");
         // The clean buffer under the right key is adopted.
-        assert!(store.adopt_raw(&key, &clean, Tier::Result));
+        assert!(store.adopt_raw(&key, &clean));
         assert_eq!(store.load::<u64>(&5u64), Some(0xBEEF));
     }
 
@@ -709,9 +553,9 @@ mod tests {
         let v2 = ResultStore::open(&dir.0, 2).unwrap();
         v1.save(&1u64, &10u64).unwrap();
         let key = 1u64.to_bytes();
-        let raw = v1.load_raw(&key, Tier::Result).unwrap();
+        let raw = v1.load_raw(&key).unwrap();
         assert!(
-            !v2.adopt_raw(&key, &raw, Tier::Result),
+            !v2.adopt_raw(&key, &raw),
             "a v1 entry must not enter a v2 store"
         );
     }

@@ -37,9 +37,8 @@
 //! equivalence oracle.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use confluence_store::{wire, Decode, Encode, Reader, WireError};
 use confluence_types::{BranchKind, DetRng, TraceRecord, VAddr, INSTR_BYTES, VADDR_BITS};
 
 use crate::exec::{mix, site_unit, Executor, STACK_GUARD};
@@ -50,100 +49,13 @@ use crate::program::{Program, Term};
 /// same mode explicitly).
 pub const NO_FASTPATH_ENV: &str = "CONFLUENCE_NO_FASTPATH";
 
-/// Environment variable overriding the request-path memo budget: a total
-/// step count (the per-request cap keeps the default 8:1 ratio). Unset or
-/// empty keeps [`MemoCaps::DEFAULT`]; a malformed value is a typed
-/// [`MemoCapError`] from [`MemoCaps::try_from_env`] — the binaries
-/// validate at startup and exit 2, exactly like a malformed
-/// `CONFLUENCE_STORE_CAP`.
-pub const MEMO_CAP_ENV: &str = "CONFLUENCE_MEMO_CAP";
+/// Total [`ReplayStep`] arena budget of the request-path memo: executors
+/// stop recording new paths once their arena (warm snapshot included)
+/// reaches this.
+const MEMO_STEPS: usize = 1 << 16;
 
-/// A malformed [`MEMO_CAP_ENV`] value, carrying the rejected text.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MemoCapError {
-    /// The value that failed to parse as a step budget.
-    pub value: String,
-}
-
-impl std::fmt::Display for MemoCapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{MEMO_CAP_ENV} requires a positive step count of at most 2^30, got '{}'",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for MemoCapError {}
-
-/// Budgets of the request-path memo (see [`CompiledExecutor`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemoCaps {
-    /// Total [`ReplayStep`] arena budget: executors stop recording new
-    /// paths once their arena (warm snapshot included) reaches this.
-    pub steps: usize,
-    /// Longest single request control path worth memoizing.
-    pub request_steps: usize,
-}
-
-impl MemoCaps {
-    /// The hard-coded pre-[`MEMO_CAP_ENV`] values: 64K steps total, 8K
-    /// steps per request.
-    pub const DEFAULT: MemoCaps = MemoCaps {
-        steps: 1 << 16,
-        request_steps: 1 << 13,
-    };
-
-    /// Parses a [`MEMO_CAP_ENV`] value: a positive decimal step budget
-    /// (at most 2^30; the per-request cap scales at 8:1, minimum 1).
-    pub fn parse(value: &str) -> Option<MemoCaps> {
-        let steps: usize = value.trim().parse().ok()?;
-        if steps == 0 || steps > (1 << 30) {
-            return None;
-        }
-        Some(MemoCaps {
-            steps,
-            request_steps: (steps / 8).max(1),
-        })
-    }
-
-    /// [`MemoCaps::parse`] with a typed rejection instead of `None`.
-    pub fn validate(value: &str) -> Result<MemoCaps, MemoCapError> {
-        MemoCaps::parse(value).ok_or_else(|| MemoCapError {
-            value: value.to_string(),
-        })
-    }
-
-    /// The caps [`MEMO_CAP_ENV`] asks for, as a typed result — the
-    /// library-path half of cap-env handling. Unset or empty is the
-    /// default budget; malformed is an error the caller decides about
-    /// (the binaries validate in `parse_common` and exit 2).
-    pub fn try_from_env() -> Result<MemoCaps, MemoCapError> {
-        match std::env::var(MEMO_CAP_ENV) {
-            Ok(v) if !v.is_empty() => MemoCaps::validate(&v),
-            _ => Ok(MemoCaps::DEFAULT),
-        }
-    }
-
-    /// The caps resolved from [`MEMO_CAP_ENV`], computed once per process.
-    ///
-    /// This sits deep in the execution path where no `Result` can
-    /// propagate, so a malformed value falls back to the default budget
-    /// with a warning — binaries never get here with one, because
-    /// `parse_common` calls [`MemoCaps::try_from_env`] at startup and
-    /// exits 2 first; the fallback only fires for embedders that skipped
-    /// that validation.
-    pub fn from_env() -> MemoCaps {
-        static CAPS: OnceLock<MemoCaps> = OnceLock::new();
-        *CAPS.get_or_init(|| {
-            MemoCaps::try_from_env().unwrap_or_else(|e| {
-                eprintln!("warning: {e}; keeping the default memo budget");
-                MemoCaps::DEFAULT
-            })
-        })
-    }
-}
+/// Longest single request control path worth memoizing.
+const MEMO_REQUEST_STEPS: usize = 1 << 13;
 
 /// Which record-stream implementation a simulation uses.
 ///
@@ -313,8 +225,7 @@ pub struct CompiledProgram {
     /// Shared warm-path state: every executor over this translation
     /// snapshots the bank at construction and merges newly recorded paths
     /// back on drop, so memo warmth survives across jobs, cores, and
-    /// shards — and, via [`CompiledProgram::export_new_memo`] /
-    /// [`CompiledProgram::import_memo`], across processes.
+    /// shards.
     bank: Mutex<PathBank>,
 }
 
@@ -331,15 +242,11 @@ pub struct CompiledProgram {
 struct PathBank {
     map: HashMap<(u32, u64), PathRef, BuildPathHasher>,
     /// Shared step arena. Executors hold an `Arc` clone as their snapshot
-    /// (construction never copies steps — the point of the warm tier is
-    /// that short jobs start cheap); appends go through `Arc::make_mut`,
-    /// which only copies while an older snapshot is still alive, i.e.
-    /// never on a fully warm run where nothing records.
+    /// (construction never copies steps, so short jobs start cheap);
+    /// appends go through `Arc::make_mut`, which only copies while an
+    /// older snapshot is still alive, i.e. never on a fully warm run where
+    /// nothing records.
     paths: Arc<Vec<ReplayStep>>,
-    /// `map.len()` at the last import/export: the write-back dirtiness
-    /// mark ([`CompiledProgram::export_new_memo`] returns `None` when no
-    /// key landed since).
-    clean_keys: usize,
     /// Requests begun in replay mode (memo hits), across all executors.
     replayed: u64,
     /// Requests whose recording was finalized into a memo table.
@@ -362,126 +269,6 @@ pub struct MemoStats {
     pub recorded: u64,
     /// Requests stepped live (cold keys).
     pub live: u64,
-}
-
-/// A serializable snapshot of one program's converged request-path memo:
-/// the persistent warm-execution artifact.
-///
-/// The table is keyed externally by the generating `WorkloadSpec`'s
-/// content hash (program generation and translation are deterministic),
-/// and internally fingerprinted by the translation's table sizes as a
-/// belt-and-braces guard; [`CompiledProgram::import_memo`] additionally
-/// bounds-checks every step so a decodable-but-foreign table demotes to a
-/// miss instead of corrupting replay.
-///
-/// Exports are canonical: entries sorted by key, step offsets rebased —
-/// the same warm state always encodes to the same bytes regardless of
-/// which executors recorded it in what order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MemoTable {
-    /// Translated block count of the generating program (fingerprint).
-    blocks: u32,
-    /// `pc_table` length of the generating program (fingerprint).
-    pc_len: u32,
-    /// Memoized paths, sorted by `(entry, flavor)`.
-    entries: Vec<MemoEntry>,
-}
-
-/// One memoized request path of a [`MemoTable`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct MemoEntry {
-    entry: u32,
-    flavor: u64,
-    steps: Vec<ReplayStep>,
-}
-
-impl MemoTable {
-    /// Number of memoized request paths.
-    pub fn tables(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Total number of stored replay steps.
-    pub fn steps(&self) -> usize {
-        self.entries.iter().map(|e| e.steps.len()).sum()
-    }
-}
-
-/// Version byte of the [`MemoTable`] wire encoding. Future fields append
-/// in tail position (decode treats buffer exhaustion after the entries as
-/// "all defaults", the store codec's sanctioned tail-extension pattern);
-/// incompatible layout changes bump this byte instead.
-const MEMO_TABLE_VERSION: u8 = 1;
-
-impl Encode for MemoTable {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(MEMO_TABLE_VERSION);
-        wire::put_varint(out, u64::from(self.blocks));
-        wire::put_varint(out, u64::from(self.pc_len));
-        wire::put_usize(out, self.entries.len());
-        for e in &self.entries {
-            wire::put_varint(out, u64::from(e.entry));
-            wire::put_varint(out, e.flavor);
-            wire::put_usize(out, e.steps.len());
-            for s in &e.steps {
-                // Fixed-width words for the packed fields (varints would
-                // cost 9-10 bytes on the op/taken top bits), varints for
-                // the small table indices.
-                wire::put_u64_le(out, s.term_word);
-                wire::put_u64_le(out, s.target_taken);
-                wire::put_varint(out, u64::from(s.start));
-                wire::put_varint(out, u64::from(s.end));
-                wire::put_varint(out, u64::from(s.next));
-            }
-        }
-    }
-}
-
-impl Decode for MemoTable {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let start = r.offset();
-        if r.u8()? != MEMO_TABLE_VERSION {
-            return Err(WireError {
-                offset: start,
-                reason: "unknown memo-table version",
-            });
-        }
-        let blocks = u32::decode(r)?;
-        let pc_len = u32::decode(r)?;
-        let n = r.usize_varint()?;
-        if n > r.remaining() {
-            return Err(r.error("entry count exceeds buffer"));
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let entry = u32::decode(r)?;
-            let flavor = r.varint()?;
-            let len = r.usize_varint()?;
-            if len > r.remaining() {
-                return Err(r.error("step count exceeds buffer"));
-            }
-            let mut steps = Vec::with_capacity(len);
-            for _ in 0..len {
-                steps.push(ReplayStep {
-                    term_word: r.u64_le()?,
-                    target_taken: r.u64_le()?,
-                    start: u32::decode(r)?,
-                    end: u32::decode(r)?,
-                    next: u32::decode(r)?,
-                });
-            }
-            entries.push(MemoEntry {
-                entry,
-                flavor,
-                steps,
-            });
-        }
-        Ok(MemoTable {
-            blocks,
-            pc_len,
-            entries,
-        })
-    }
 }
 
 /// Exact integer form of the reference's `site_unit(..) < prob` test.
@@ -662,110 +449,6 @@ impl CompiledProgram {
         }
     }
 
-    /// Exports the whole warm-path bank as a canonical [`MemoTable`]
-    /// (entries sorted by key, offsets rebased), without touching the
-    /// dirtiness mark.
-    pub fn export_memo(&self) -> MemoTable {
-        let bank = self.bank.lock().expect("path bank poisoned");
-        self.build_table(&bank)
-    }
-
-    /// Exports the bank only if new paths landed since the last
-    /// import/export, marking it clean — the write-back probe: `None`
-    /// means the persisted artifact is already up to date.
-    pub fn export_new_memo(&self) -> Option<MemoTable> {
-        let mut bank = self.bank.lock().expect("path bank poisoned");
-        if bank.map.len() <= bank.clean_keys {
-            return None;
-        }
-        let table = self.build_table(&bank);
-        bank.clean_keys = bank.map.len();
-        Some(table)
-    }
-
-    fn build_table(&self, bank: &PathBank) -> MemoTable {
-        let mut keys: Vec<((u32, u64), PathRef)> = bank.map.iter().map(|(&k, &p)| (k, p)).collect();
-        keys.sort_unstable_by_key(|&(k, _)| k);
-        MemoTable {
-            blocks: self.desc.len() as u32,
-            pc_len: self.pc_table.len() as u32,
-            entries: keys
-                .into_iter()
-                .map(|((entry, flavor), p)| MemoEntry {
-                    entry,
-                    flavor,
-                    steps: bank.paths[p.start as usize..p.end as usize].to_vec(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Imports a persisted warm-path table into the bank and marks it
-    /// clean. Returns `false` — leaving the bank untouched — when the
-    /// table does not fingerprint to this translation or any step fails
-    /// validation; a decodable-but-wrong artifact must behave like a
-    /// cache miss, never corrupt replay (replay indexes `pc_table` and
-    /// `desc` straight from the stored words).
-    pub fn import_memo(&self, table: &MemoTable) -> bool {
-        if table.blocks as usize != self.desc.len() || table.pc_len as usize != self.pc_table.len()
-        {
-            return false;
-        }
-        // A genuine export is bounded by the recording caps: each entry is
-        // one request's path (request-cap bound), and the bank as a whole
-        // grows at most `caps.steps` per flavor (one executor per simulated
-        // core records against its own snapshot). Anything far beyond that
-        // is garbage regardless of what it fingerprints as.
-        let caps = MemoCaps::from_env();
-        if table.steps() > caps.steps.saturating_mul(64) {
-            return false;
-        }
-        if table
-            .entries
-            .iter()
-            .any(|e| e.steps.len() > caps.request_steps.saturating_mul(4))
-        {
-            return false;
-        }
-        let blocks = self.desc.len();
-        let pc_len = self.pc_table.len() as u32;
-        for e in &table.entries {
-            if (e.entry as usize) >= blocks {
-                return false;
-            }
-            for s in &e.steps {
-                let hi = s.term_word >> 48;
-                // Bits 48..56 of `term_word` are always zero (48-bit pc);
-                // the top byte is the op, which replay indexes with.
-                if hi & 0xFF != 0 || !(1..=7).contains(&(hi >> 8)) {
-                    return false;
-                }
-                // `target_taken` holds a 48-bit address plus the taken bit.
-                if (s.target_taken >> 48) & 0x7FFF != 0 {
-                    return false;
-                }
-                if (s.next as usize) >= blocks || s.start > s.end || s.end > pc_len {
-                    return false;
-                }
-            }
-        }
-        let mut guard = self.bank.lock().expect("path bank poisoned");
-        let bank = &mut *guard;
-        let arena = Arc::make_mut(&mut bank.paths);
-        for e in &table.entries {
-            let key = (e.entry, e.flavor);
-            if bank.map.contains_key(&key) {
-                continue;
-            }
-            let start = arena.len() as u32;
-            arena.extend_from_slice(&e.steps);
-            let end = arena.len() as u32;
-            bank.map.insert(key, PathRef { start, end });
-        }
-        bank.clean_keys = bank.map.len();
-        true
-    }
-
     /// Merges an executor's newly recorded paths and its request counters
     /// into the bank (called on executor drop). Keys already present are
     /// skipped — concurrent recorders produce byte-identical paths for
@@ -871,8 +554,7 @@ pub struct CompiledExecutor<'c> {
     memo: HashMap<(u32, u64), PathRef, BuildPathHasher>,
     /// The shared bank arena as of construction — an `Arc` clone, never a
     /// step copy, so executor construction stays O(map) even when the
-    /// warm bank holds hundreds of thousands of steps (the short-job
-    /// regime the artifact tier exists for). A [`PathRef`] below
+    /// warm bank holds hundreds of thousands of steps. A [`PathRef`] below
     /// `snapshot_len` indexes this arena.
     snapshot: Arc<Vec<ReplayStep>>,
     /// Local arena for paths this executor records; a [`PathRef`] at or
@@ -906,8 +588,6 @@ pub struct CompiledExecutor<'c> {
     /// maintained during replay; depth returns to zero by the end of
     /// every request).
     replay_depth: u32,
-    /// Memo budgets, resolved once per process (see [`MEMO_CAP_ENV`]).
-    caps: MemoCaps,
     /// `snapshot` length: [`PathRef`]s below it index the shared
     /// snapshot, those at or above it index `fresh` (rebased); only the
     /// latter are merged back on drop.
@@ -941,8 +621,8 @@ struct PathRef {
 /// tables plus a data-dependent target select, which dominated the
 /// replay loop's critical path. Storing the resolved transition turns
 /// all of that into one sequential load; the arena stays bounded by
-/// [`MemoCaps::steps`] (~2 MB at the default), and per-flavor cold footprint only
-/// matters until the step line is in cache.
+/// [`MEMO_STEPS`] (~2 MB), and per-flavor cold footprint only matters
+/// until the step line is in cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct ReplayStep {
     /// This chain's terminator fetch address in the low 48 bits with its
@@ -1009,9 +689,9 @@ impl<'c> CompiledExecutor<'c> {
     /// Creates a compiled executor with a dedicated dynamic-behaviour seed.
     ///
     /// The executor starts from a snapshot of the program's shared path
-    /// bank, so requests whose keys any earlier executor (or a persisted
-    /// artifact import) converged replay from record zero; paths are
-    /// seed-independent, so the snapshot is valid under any seed.
+    /// bank, so requests whose keys any earlier executor converged replay
+    /// from record zero; paths are seed-independent, so the snapshot is
+    /// valid under any seed.
     pub fn new(cp: &'c CompiledProgram, seed: u64) -> CompiledExecutor<'c> {
         let (memo, snapshot) = {
             let bank = cp.bank.lock().expect("path bank poisoned");
@@ -1047,7 +727,6 @@ impl<'c> CompiledExecutor<'c> {
             replay_staged: false,
             prefetch: 0,
             replay_depth: 0,
-            caps: MemoCaps::from_env(),
             spare: Vec::new(),
             stat_replayed: 0,
             stat_recorded: 0,
@@ -1114,7 +793,7 @@ impl<'c> CompiledExecutor<'c> {
             self.replay_stage();
         } else {
             self.stat_live += 1;
-            if self.snapshot_len as usize + self.fresh.len() < self.caps.steps {
+            if self.snapshot_len as usize + self.fresh.len() < MEMO_STEPS {
                 let mut buf = std::mem::take(&mut self.spare);
                 buf.clear();
                 self.recording = Some(buf);
@@ -1330,7 +1009,7 @@ impl<'c> CompiledExecutor<'c> {
             // The final return is not part of the memoized path (its
             // target depends on the next scheduling draw).
             if let Some(mut buf) = self.recording.take() {
-                if buf.len() <= self.caps.request_steps {
+                if buf.len() <= MEMO_REQUEST_STEPS {
                     let start = self.snapshot_len + self.fresh.len() as u32;
                     self.fresh.extend_from_slice(&buf);
                     self.memo.insert(
@@ -1544,8 +1223,7 @@ impl Iterator for CompiledExecutor<'_> {
 impl Drop for CompiledExecutor<'_> {
     /// Contributes newly recorded paths and request counters back to the
     /// program's shared bank, so the next executor — any job, core, or
-    /// shard over this translation, in this process or (via the artifact
-    /// store) a later one — starts where this one left off.
+    /// shard over this translation — starts where this one left off.
     fn drop(&mut self) {
         let cp = self.cp;
         // Release this executor's claim on the shared arena first: absorb
@@ -1645,8 +1323,8 @@ impl Program {
     }
 
     /// The compiled form only if some consumer already forced the
-    /// translation — the warm-artifact write-back probe, which must not
-    /// compile (or export empty tables for) programs no job executed.
+    /// translation, for probes that must not compile programs no job
+    /// executed.
     pub fn compiled_if_translated(&self) -> Option<&Arc<CompiledProgram>> {
         self.compiled_cache().get()
     }
@@ -1793,184 +1471,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_caps_parse_accepts_positive_decimals_only() {
-        assert_eq!(
-            MemoCaps::parse("1024"),
-            Some(MemoCaps {
-                steps: 1024,
-                request_steps: 128
-            })
-        );
-        assert_eq!(MemoCaps::parse(" 8 ").unwrap().request_steps, 1);
-        assert_eq!(MemoCaps::parse("0"), None);
-        assert_eq!(MemoCaps::parse("-3"), None);
-        assert_eq!(MemoCaps::parse("plenty"), None);
-        assert_eq!(MemoCaps::parse(&(1u64 << 31).to_string()), None);
-        assert_eq!(MemoCaps::DEFAULT.steps, 1 << 16);
-        assert_eq!(MemoCaps::DEFAULT.request_steps, 1 << 13);
-    }
-
-    #[test]
-    fn memo_caps_validate_is_typed() {
-        assert_eq!(MemoCaps::validate("512").ok(), MemoCaps::parse("512"));
-        let err = MemoCaps::validate("banana").unwrap_err();
-        assert_eq!(err.value, "banana");
-        let msg = err.to_string();
-        assert!(
-            msg.contains(MEMO_CAP_ENV) && msg.contains("'banana'"),
-            "error must name the variable and the rejected value: {msg}"
-        );
-        // Unset (or empty) env means the default budget, not an error.
-        // The test runner never sets the variable; guard anyway rather
-        // than mutate process-global env state under parallel tests.
-        if std::env::var_os(MEMO_CAP_ENV).is_none() {
-            assert_eq!(MemoCaps::try_from_env(), Ok(MemoCaps::DEFAULT));
-        }
-    }
-
-    #[test]
-    fn memo_table_codec_golden_bytes() {
-        let table = MemoTable {
-            blocks: 3,
-            pc_len: 5,
-            entries: vec![MemoEntry {
-                entry: 1,
-                flavor: 2,
-                steps: vec![ReplayStep {
-                    term_word: (3 << 56) | 0x10,
-                    target_taken: STEP_TAKEN | 0x20,
-                    start: 0,
-                    end: 5,
-                    next: 2,
-                }],
-            }],
-        };
-        let bytes = table.to_bytes();
-        assert_eq!(
-            bytes,
-            [
-                1, // codec version
-                3, 5, 1, // blocks, pc_len, entry count
-                1, 2, 1, // entry, flavor, step count
-                0x10, 0, 0, 0, 0, 0, 0, 0x03, // term_word, little-endian
-                0x20, 0, 0, 0, 0, 0, 0, 0x80, // target_taken (taken bit on top)
-                0, 5, 2, // start, end, next
-            ],
-            "memo-table wire layout is pinned: changing it requires a \
-             version bump, not a silent re-encoding"
-        );
-        assert_eq!(MemoTable::from_bytes(&bytes).unwrap(), table);
-        assert!(
-            MemoTable::from_bytes(&[9, 0, 0, 0]).is_err(),
-            "unknown versions must not decode"
-        );
-    }
-
-    #[test]
-    fn memo_roundtrips_across_program_instances_bit_identically() {
-        let a = Program::generate(&WorkloadSpec::tiny()).unwrap();
-        let b = Program::generate(&WorkloadSpec::tiny()).unwrap();
-        {
-            let mut ex = a.compiled().executor(1);
-            ex.for_each_record(150_000, |_| {});
-        }
-        let stats = a.compiled().memo_stats();
-        assert!(stats.recorded > 0 && stats.tables > 0);
-
-        let table = a.compiled().export_memo();
-        assert_eq!(table.tables(), stats.tables);
-        assert_eq!(table.steps(), stats.steps);
-        assert_eq!(
-            table.to_bytes(),
-            a.compiled().export_memo().to_bytes(),
-            "exports are canonical: same warm state, same bytes"
-        );
-
-        assert!(
-            b.compiled().import_memo(&table),
-            "a table from the same spec must fingerprint-match"
-        );
-        // The imported instance replays the persisted paths and still
-        // matches the reference executor record for record.
-        assert_streams_equal(&b, 1, 150_000);
-        let warm = b.compiled().memo_stats();
-        assert!(warm.replayed > 0, "imported paths must actually replay");
-        assert_eq!(warm.recorded, 0, "a fully warm run records nothing new");
-        assert!(
-            b.compiled().export_new_memo().is_none(),
-            "import marks the bank clean"
-        );
-    }
-
-    #[test]
-    fn import_rejects_foreign_and_corrupt_tables() {
-        let tiny = Program::generate(&WorkloadSpec::tiny()).unwrap();
-        {
-            let mut ex = tiny.compiled().executor(3);
-            ex.for_each_record(60_000, |_| {});
-        }
-        let table = tiny.compiled().export_memo();
-        let other = Program::generate(&Workload::WebFrontend.spec().with_code_kb(128)).unwrap();
-        assert!(
-            !other.compiled().import_memo(&table),
-            "fingerprint mismatch is a miss"
-        );
-
-        let fresh = Program::generate(&WorkloadSpec::tiny()).unwrap();
-        let i = table
-            .entries
-            .iter()
-            .position(|e| !e.steps.is_empty())
-            .expect("some path has steps");
-        let mut bad = table.clone();
-        bad.entries[i].steps[0].next = bad.blocks;
-        assert!(
-            !fresh.compiled().import_memo(&bad),
-            "successor out of range"
-        );
-        let mut bad = table.clone();
-        bad.entries[i].steps[0].term_word |= 0xFF << 48;
-        assert!(!fresh.compiled().import_memo(&bad), "non-zero pad byte");
-        let mut bad = table.clone();
-        bad.entries[i].steps[0].end = bad.pc_len + 1;
-        assert!(!fresh.compiled().import_memo(&bad), "run past pc_table");
-        assert_eq!(
-            fresh.compiled().memo_stats().tables,
-            0,
-            "rejected imports leave the bank untouched"
-        );
-        assert!(fresh.compiled().import_memo(&table));
-    }
-
-    #[test]
-    fn export_new_memo_tracks_dirtiness() {
-        let p = Program::generate(&WorkloadSpec::tiny()).unwrap();
-        let cp = p.compiled();
-        assert!(cp.export_new_memo().is_none(), "an empty bank is clean");
-        {
-            let mut ex = cp.executor(1);
-            ex.for_each_record(50_000, |_| {});
-        }
-        let first = cp.export_new_memo().expect("a cold run dirties the bank");
-        assert!(first.tables() > 0);
-        assert!(
-            cp.export_new_memo().is_none(),
-            "export marks the bank clean"
-        );
-        let before = cp.memo_stats().tables;
-        {
-            let mut ex = cp.executor(2);
-            ex.for_each_record(50_000, |_| {});
-        }
-        let after = cp.memo_stats().tables;
-        assert_eq!(
-            cp.export_new_memo().is_some(),
-            after > before,
-            "dirtiness must track exactly whether new keys landed"
-        );
-    }
-
-    #[test]
     fn warm_bank_is_shared_across_executors() {
         let p = Program::generate(&WorkloadSpec::tiny()).unwrap();
         let cp = p.compiled();
@@ -1980,10 +1480,9 @@ mod tests {
         }
         let cold = cp.memo_stats();
         assert!(cold.recorded > 0, "first executor records");
-        {
-            let mut ex = cp.executor(5);
-            ex.for_each_record(80_000, |_| {});
-        }
+        // The second executor replays the first one's paths and still
+        // matches the reference executor record for record.
+        assert_streams_equal(&p, 5, 80_000);
         let warm = cp.memo_stats();
         assert_eq!(
             warm.recorded, cold.recorded,

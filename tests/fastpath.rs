@@ -8,14 +8,14 @@
 //! 1. an engine-level sweep running every job the `--quick` experiment
 //!    suite generates through both modes and asserting identical
 //!    [`JobOutput`]s plus byte-identical rendered reports;
-//! 2. a property test over randomized [`WorkloadSpec`]s asserting the
-//!    two record streams agree record-for-record.
+//! 2. property tests over randomized [`WorkloadSpec`]s asserting the
+//!    two record streams agree record-for-record, cold and with a warm
+//!    path memo.
 
 use proptest::prelude::*;
 
 use confluence::sim::{experiments, ExecMode, Job, SimEngine};
-use confluence::store::{Decode, Encode};
-use confluence::trace::{MemoTable, Program, WorkloadSpec};
+use confluence::trace::{Program, WorkloadSpec};
 
 /// Every job of the `--quick` suite, executed through both the compiled
 /// fast path and the reference interpreter, produces identical outputs
@@ -110,13 +110,12 @@ proptest! {
         prop_assert_eq!(fast.requests_completed(), reference.requests_completed());
     }
 
-    /// Persisted warm artifacts are a pure performance tier: for
-    /// arbitrary workload shapes, a path-memo table exported from one
-    /// program instance survives the wire codec byte-for-byte and
-    /// replays in a *fresh* instance (a cold process, in spirit)
-    /// record-for-record identically to the reference interpreter.
+    /// The request-path memo is a pure performance layer: for arbitrary
+    /// workload shapes, the paths one compiled stream records into the
+    /// program's shared bank replay in a second stream record-for-record
+    /// identically to the reference interpreter.
     #[test]
-    fn memo_tables_roundtrip_and_replay_bit_identically(
+    fn warm_bank_replays_bit_identically(
         seed in any::<u64>(),
         structure_seed in any::<u64>(),
         kb in 32usize..48,
@@ -125,26 +124,16 @@ proptest! {
             structure_seed,
             ..WorkloadSpec::tiny().with_code_kb(kb)
         };
-        let recorder = Program::generate(&spec).expect("valid randomized spec");
+        let program = Program::generate(&spec).expect("valid randomized spec");
         {
-            let mut s = recorder.stream(seed, ExecMode::Compiled);
+            let mut cold = program.stream(seed, ExecMode::Compiled);
             for _ in 0..12_000u64 {
-                s.next_record();
+                cold.next_record();
             }
         }
-        let table = recorder.compiled().export_memo();
-        let bytes = table.to_bytes();
-        let decoded = MemoTable::from_bytes(&bytes).expect("canonical bytes decode");
-        prop_assert_eq!(&decoded, &table);
-        prop_assert_eq!(decoded.to_bytes(), bytes, "re-encoding is byte-stable");
-
-        let replayer = Program::generate(&spec).expect("same spec regenerates");
-        prop_assert!(
-            replayer.compiled().import_memo(&decoded),
-            "a fresh instance of the same spec must accept the table"
-        );
-        let mut warm = replayer.stream(seed, ExecMode::Compiled);
-        let mut reference = replayer.stream(seed, ExecMode::Reference);
+        let before = program.compiled().memo_stats();
+        let mut warm = program.stream(seed, ExecMode::Compiled);
+        let mut reference = program.stream(seed, ExecMode::Reference);
         for i in 0..12_000u64 {
             prop_assert_eq!(
                 warm.next_record(),
@@ -155,8 +144,8 @@ proptest! {
         }
         drop(warm);
         prop_assert!(
-            replayer.compiled().memo_stats().replayed > 0,
-            "the imported table must actually replay"
+            program.compiled().memo_stats().replayed > before.replayed,
+            "the warm bank must actually replay"
         );
     }
 }
