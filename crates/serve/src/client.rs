@@ -3,7 +3,7 @@
 //! side of the remote warm tier: [`Client::fetch`] asks a daemon for a
 //! whole batch of raw store entries in one round trip.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
@@ -70,8 +70,12 @@ pub struct BatchReply {
 }
 
 /// A connected, handshaken session with the daemon.
+///
+/// Frames are read through a buffer, so a burst of result frames the
+/// daemon sent in one write costs one read here, not three per frame.
+/// Each request frame is written to the socket itself, in one write.
 pub struct Client {
-    stream: UnixStream,
+    stream: BufReader<UnixStream>,
 }
 
 impl Client {
@@ -99,8 +103,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// As [`Client::connect`], plus `WouldBlock`/`TimedOut` I/O errors
-    /// when the peer exceeds `timeout`.
+    /// As [`Client::connect`], plus the I/O error a socket read or write
+    /// reports when the peer exceeds `timeout`.
     pub fn connect_with_timeout(
         path: impl AsRef<Path>,
         schema: u32,
@@ -113,17 +117,14 @@ impl Client {
         Self::handshake(stream, schema, fingerprint)
     }
 
-    fn handshake(
-        mut stream: UnixStream,
-        schema: u32,
-        fingerprint: u64,
-    ) -> Result<Self, ClientError> {
+    fn handshake(stream: UnixStream, schema: u32, fingerprint: u64) -> Result<Self, ClientError> {
+        let mut stream = BufReader::new(stream);
         let hello = Frame::Hello {
             proto: PROTO_VERSION,
             schema,
             fingerprint,
         };
-        protocol::send(&mut stream, &hello)?;
+        protocol::send(stream.get_mut(), &hello)?;
         match protocol::recv(&mut stream)? {
             Frame::HelloAck { .. } => Ok(Client { stream }),
             Frame::Error { code, message } => Err(ClientError::Daemon { code, message }),
@@ -146,7 +147,7 @@ impl Client {
     pub fn submit(&mut self, batch_id: u64, jobs: Vec<Vec<u8>>) -> Result<BatchReply, ClientError> {
         let count = jobs.len();
         let frame = Frame::SubmitBatch { batch_id, jobs };
-        protocol::send(&mut self.stream, &frame)?;
+        protocol::send(self.stream.get_mut(), &frame)?;
 
         let mut outputs: Vec<Option<Vec<u8>>> = vec![None; count];
         let mut filled = 0usize;
@@ -211,7 +212,7 @@ impl Client {
         keys: Vec<Vec<u8>>,
     ) -> Result<Vec<Option<Vec<u8>>>, ClientError> {
         let count = keys.len();
-        protocol::send(&mut self.stream, &Frame::FetchResults { ttl, keys })?;
+        protocol::send(self.stream.get_mut(), &Frame::FetchResults { ttl, keys })?;
 
         let mut entries: Vec<Option<Vec<u8>>> = vec![None; count];
         let mut filled = 0u32;

@@ -499,13 +499,23 @@ impl std::fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// Writes one frame into the checksummed stream envelope.
+/// Writes one frame into the checksummed stream envelope, in one write.
 ///
 /// # Errors
 ///
 /// Errors if the transport rejects the write.
 pub fn send<W: io::Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     wire::write_frame(w, &frame.to_bytes())
+}
+
+/// Appends one frame in its stream envelope to `out`: the same bytes
+/// [`send`] writes, so a writer can send a burst of frames in one write.
+///
+/// # Errors
+///
+/// Errors if the frame is too long for the envelope.
+pub fn put(out: &mut Vec<u8>, frame: &Frame) -> io::Result<()> {
+    wire::put_frame(out, &frame.to_bytes())
 }
 
 /// Reads and decodes one frame from the stream envelope. Never panics

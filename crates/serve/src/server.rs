@@ -1,12 +1,18 @@
 //! The accept loop and per-connection protocol driver.
 //!
 //! The server owns nothing about simulation: it is generic over a
-//! [`BatchHost`], the engine-owning side of the daemon. For every
-//! connection it runs the handshake, then answers `SubmitBatch` frames
-//! by fanning the batch's jobs out over `host.threads()` worker threads
-//! (most-expensive-first by `host.cost_hint`, matching the engine's own
-//! scheduler) and streaming each `JobResult` frame back the moment the
-//! job completes. Exactly-once semantics across concurrent clients are
+//! [`BatchHost`], the engine-owning side of the daemon. The accept loop
+//! blocks in `accept` and gives each connection a thread of its own.
+//! For every connection it runs the handshake, then answers
+//! `SubmitBatch` frames by fanning the batch's jobs out over
+//! `host.threads()` worker threads (most-expensive-first by
+//! `host.cost_hint`, matching the engine's own scheduler) and streaming
+//! the `JobResult` frames back in completion order. A result leaves as
+//! soon as the connection's writer is free: the writer waits for the
+//! next result, then sends it and every other result already waiting as
+//! one burst, in one write. Frames are read through a buffer, so a
+//! burst from the client costs one read, not three per frame.
+//! Exactly-once semantics across concurrent clients are
 //! the host's business — the engine's content-keyed in-flight dedup —
 //! so two clients submitting the same job each get a result frame while
 //! the simulation runs once.
@@ -17,7 +23,7 @@
 //! clients are waiting on still completes inside the host) and its
 //! thread exits. Nothing a client does can poison the shared engine.
 
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -30,8 +36,9 @@ use crate::protocol::{
     self, BatchStats, ErrorCode, Frame, RecvError, FETCH_HOP_LIMIT, PROTO_VERSION,
 };
 
-/// How often the accept loop checks its stop flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long [`ServerHandle::stop`] waits for the accept loop to exit
+/// after waking it, before it leaves the loop's thread detached.
+const STOP_GRACE: Duration = Duration::from_millis(500);
 
 /// A typed refusal from the host: handshake validation or a job that
 /// could not be decoded/executed. Sent to the client verbatim as a
@@ -161,7 +168,9 @@ impl<H: BatchHost> Server<H> {
     }
 
     /// Runs the accept loop on the calling thread until the process is
-    /// killed. The daemon binary's main loop.
+    /// killed. The daemon binary's main loop: the same loop
+    /// [`Server::spawn`] runs, blocked in `accept` while no client
+    /// connects, so an idle daemon does not wake.
     ///
     /// # Errors
     ///
@@ -177,25 +186,30 @@ impl<H: BatchHost> Server<H> {
     pub fn spawn(self) -> ServerHandle {
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let thread = {
+        let (exit_tx, exit_rx) = mpsc::sync_channel(1);
+        {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
-            thread::spawn(move || serve_loop(self.listener, self.host, &stop, &conns))
-        };
+            thread::spawn(move || {
+                let _ = exit_tx.send(serve_loop(self.listener, self.host, &stop, &conns));
+            });
+        }
         ServerHandle {
             stop,
-            thread: Some(thread),
+            accept: Some(exit_rx),
             conns,
             path: self.path,
         }
     }
 }
 
-/// Handle to a spawned server; stopping joins the accept loop and every
-/// live connection thread, then removes the socket file.
+/// Handle to a spawned server; stopping ends the accept loop, joins
+/// every live connection thread, then removes the socket file.
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
-    thread: Option<thread::JoinHandle<io::Result<()>>>,
+    /// The accept thread's exit result, once its loop returns; `None`
+    /// after [`ServerHandle::stop`] or `Drop` has let go of the thread.
+    accept: Option<mpsc::Receiver<io::Result<()>>>,
     conns: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
     path: PathBuf,
 }
@@ -209,31 +223,56 @@ impl ServerHandle {
     /// Stops accepting, waits for in-flight connections to finish, and
     /// removes the socket file.
     ///
+    /// The accept loop blocks in `accept`, so `stop` sets the stop flag
+    /// and then connects once to the socket path to wake it. That
+    /// connect can miss: the socket file may have been removed, or
+    /// another server may have bound the path since (binding unlinks
+    /// whatever is there). If the loop has not exited shortly after the
+    /// wake-up connect, `stop` leaves the accept thread detached, blocked
+    /// in `accept` until the process ends, and returns anyway: it never
+    /// hangs on the accept loop. It then leaves the socket path alone,
+    /// since it may be another server's now.
+    ///
     /// # Errors
     ///
-    /// Returns the accept loop's fatal error, if it had one.
+    /// Returns the accept loop's fatal error, if it had one, or an error
+    /// if its thread panicked.
     pub fn stop(mut self) -> io::Result<()> {
-        self.stop.store(true, Ordering::SeqCst);
-        let result = match self.thread.take() {
-            Some(t) => t.join().unwrap_or(Ok(())),
-            None => Ok(()),
-        };
+        let exited = self.end_accept_loop();
         let conns = std::mem::take(&mut *self.conns.lock().unwrap());
         for conn in conns {
             let _ = conn.join();
         }
-        let _ = std::fs::remove_file(&self.path);
-        result
+        if exited.is_some() {
+            let _ = std::fs::remove_file(&self.path);
+        }
+        exited.unwrap_or(Ok(()))
+    }
+
+    /// Sets the stop flag and wakes the accept loop with one connection.
+    /// Returns the loop's result if it exits within [`STOP_GRACE`], and
+    /// `None` if it does not (the thread is left detached) or if the
+    /// handle has already let go of the accept thread.
+    fn end_accept_loop(&mut self) -> Option<io::Result<()>> {
+        let exit = self.accept.take()?;
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = UnixStream::connect(&self.path);
+        match exit.recv_timeout(STOP_GRACE) {
+            Ok(result) => Some(result),
+            // The thread panicked, which closed its listener all the same.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                Some(Err(io::Error::other("the accept loop panicked")))
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+        }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        if self.end_accept_loop().is_some() {
+            let _ = std::fs::remove_file(&self.path);
         }
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -243,15 +282,18 @@ fn serve_loop<H: BatchHost>(
     stop: &AtomicBool,
     conns: &Mutex<Vec<thread::JoinHandle<()>>>,
 ) -> io::Result<()> {
-    // Nonblocking accept so the loop can notice its stop flag; each
-    // accepted stream goes back to blocking for its connection thread.
-    listener.set_nonblocking(true)?;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        // Blocking accept: the loop sleeps until a client connects. To
+        // stop it, `ServerHandle` sets the flag and then connects once;
+        // that wake-up connection is dropped unserved.
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        match accepted {
             Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
                 let host = Arc::clone(&host);
-                let handle = thread::spawn(move || handle_connection(stream, &*host));
+                let handle = thread::spawn(move || handle_connection(&stream, &*host));
                 let mut conns = conns.lock().unwrap();
                 // Drop the handles of connections that already ended, so a
                 // daemon that never stops holds one handle per live
@@ -259,27 +301,25 @@ fn serve_loop<H: BatchHost>(
                 conns.retain(|conn| !conn.is_finished());
                 conns.push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(())
 }
 
 /// Sends a typed error frame, ignoring transport failure (the client
 /// may already be gone), then lets the connection close.
-fn refuse(stream: &mut UnixStream, code: ErrorCode, message: String) {
-    let _ = protocol::send(stream, &Frame::Error { code, message });
-    let _ = stream.flush();
+fn refuse(mut out: &UnixStream, code: ErrorCode, message: String) {
+    let _ = protocol::send(&mut out, &Frame::Error { code, message });
 }
 
-fn handle_connection<H: BatchHost>(mut stream: UnixStream, host: &H) {
+fn handle_connection<H: BatchHost>(mut stream: &UnixStream, host: &H) {
+    // Frames are read through a buffer (a burst of them costs one read)
+    // and written to the stream itself, one write per frame or burst.
+    let mut reader = BufReader::new(stream);
     // Handshake first: anything other than a well-formed, compatible
     // Hello gets a typed refusal and a close.
-    match protocol::recv(&mut stream) {
+    match protocol::recv(&mut reader) {
         Ok(Frame::Hello {
             proto,
             schema,
@@ -287,13 +327,13 @@ fn handle_connection<H: BatchHost>(mut stream: UnixStream, host: &H) {
         }) => {
             if proto != PROTO_VERSION {
                 return refuse(
-                    &mut stream,
+                    stream,
                     ErrorCode::ProtoMismatch,
                     format!("daemon speaks frame protocol v{PROTO_VERSION}, client sent v{proto}"),
                 );
             }
             if let Err(rej) = host.validate_hello(schema, fingerprint) {
-                return refuse(&mut stream, rej.code, rej.message);
+                return refuse(stream, rej.code, rej.message);
             }
             let ack = Frame::HelloAck {
                 proto: PROTO_VERSION,
@@ -305,32 +345,32 @@ fn handle_connection<H: BatchHost>(mut stream: UnixStream, host: &H) {
         }
         Ok(_) => {
             return refuse(
-                &mut stream,
+                stream,
                 ErrorCode::MalformedFrame,
                 "expected Hello as first frame".to_string(),
             );
         }
         Err(RecvError::Closed | RecvError::Io(_)) => return,
         Err(e @ (RecvError::Envelope(_) | RecvError::Malformed(_))) => {
-            return refuse(&mut stream, ErrorCode::MalformedFrame, e.to_string());
+            return refuse(stream, ErrorCode::MalformedFrame, e.to_string());
         }
     }
 
     loop {
-        match protocol::recv(&mut stream) {
+        match protocol::recv(&mut reader) {
             Ok(Frame::SubmitBatch { batch_id, jobs }) => {
-                if !serve_batch(&mut stream, host, batch_id, &jobs) {
+                if !serve_batch(stream, host, batch_id, &jobs) {
                     return;
                 }
             }
             Ok(Frame::FetchResults { ttl, keys }) => {
-                if !serve_fetch(&mut stream, host, ttl, &keys) {
+                if !serve_fetch(stream, host, ttl, &keys) {
                     return;
                 }
             }
             Ok(_) => {
                 return refuse(
-                    &mut stream,
+                    stream,
                     ErrorCode::MalformedFrame,
                     "expected SubmitBatch".to_string(),
                 );
@@ -339,51 +379,49 @@ fn handle_connection<H: BatchHost>(mut stream: UnixStream, host: &H) {
             // here — the shared engine state lives in the host.
             Err(RecvError::Closed | RecvError::Io(_)) => return,
             Err(e @ (RecvError::Envelope(_) | RecvError::Malformed(_))) => {
-                return refuse(&mut stream, ErrorCode::MalformedFrame, e.to_string());
+                return refuse(stream, ErrorCode::MalformedFrame, e.to_string());
             }
         }
     }
 }
 
-/// Answers one batched fetch: streams a [`Frame::FetchHit`] per key the
-/// host holds, then one [`Frame::FetchDone`]. Returns `false` if the
-/// connection should close (transport failure or a host that broke the
-/// one-slot-per-key contract).
-fn serve_fetch<H: BatchHost>(
-    stream: &mut UnixStream,
-    host: &H,
-    ttl: u32,
-    keys: &[Vec<u8>],
-) -> bool {
+/// Answers one batched fetch: a [`Frame::FetchHit`] per key the host
+/// holds, then one [`Frame::FetchDone`], all ready at once and so sent
+/// in one write. Returns `false` if the connection should close
+/// (transport failure or a host that broke the one-slot-per-key
+/// contract).
+fn serve_fetch<H: BatchHost>(mut out: &UnixStream, host: &H, ttl: u32, keys: &[Vec<u8>]) -> bool {
     let entries = host.fetch_batch(ttl.min(FETCH_HOP_LIMIT), keys);
     if entries.len() != keys.len() {
         refuse(
-            stream,
+            out,
             ErrorCode::JobFailed,
             format!("fetch answered {} of {} keys", entries.len(), keys.len()),
         );
         return false;
     }
+    let mut burst = Vec::new();
     let mut hits: u32 = 0;
     for (idx, entry) in entries.into_iter().enumerate() {
         if let Some(entry) = entry {
             hits += 1;
             #[allow(clippy::cast_possible_truncation)]
             let idx = idx as u32;
-            if protocol::send(stream, &Frame::FetchHit { idx, entry }).is_err() {
+            if protocol::put(&mut burst, &Frame::FetchHit { idx, entry }).is_err() {
                 return false;
             }
         }
     }
     #[allow(clippy::cast_possible_truncation)]
     let misses = keys.len() as u32 - hits;
-    protocol::send(stream, &Frame::FetchDone { hits, misses }).is_ok()
+    protocol::put(&mut burst, &Frame::FetchDone { hits, misses }).is_ok()
+        && out.write_all(&burst).is_ok()
 }
 
 /// Runs one batch and streams its results. Returns `false` if the
 /// connection should close (transport failure or a rejected job).
 fn serve_batch<H: BatchHost>(
-    stream: &mut UnixStream,
+    mut out: &UnixStream,
     host: &H,
     batch_id: u64,
     jobs: &[Vec<u8>],
@@ -393,9 +431,10 @@ fn serve_batch<H: BatchHost>(
 
     // Most-expensive-first claim order, same policy as the engine's own
     // scheduler: long poles start immediately instead of queueing
-    // behind cheap jobs. Stable sort keeps submission order among ties.
+    // behind cheap jobs. Stable sort keeps submission order among ties;
+    // the cached key costs one `cost_hint` (a payload decode) per job.
     let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(host.cost_hint(&jobs[i])));
+    order.sort_by_cached_key(|&i| std::cmp::Reverse(host.cost_hint(&jobs[i])));
 
     let workers = host.threads().clamp(1, jobs.len().max(1));
     let next = AtomicUsize::new(0);
@@ -433,16 +472,23 @@ fn serve_batch<H: BatchHost>(
                 }
             });
         }
-        // The connection thread is the sole frame writer: it drains the
-        // channel and streams each result the moment it lands. Dropping
+        // The connection thread is the sole frame writer: it waits for
+        // the next result, then sends it and every result already
+        // waiting in the channel as one burst, in one write. Dropping
         // the spare sender lets the loop end when all workers finish.
         drop(tx);
-        for (job_idx, output) in rx {
+        let mut burst = Vec::new();
+        for first in &rx {
             if write_failed {
                 continue; // keep draining so the channel empties
             }
-            let frame = Frame::JobResult { job_idx, output };
-            if protocol::send(stream, &frame).is_err() {
+            burst.clear();
+            let sent = std::iter::once(first)
+                .chain(rx.try_iter())
+                .map(|(job_idx, output)| Frame::JobResult { job_idx, output })
+                .try_for_each(|frame| protocol::put(&mut burst, &frame))
+                .and_then(|()| out.write_all(&burst));
+            if sent.is_err() {
                 // Client went away mid-batch: abandon its remaining
                 // claims. Jobs other clients also requested still
                 // complete inside the host's in-flight dedup.
@@ -456,14 +502,14 @@ fn serve_batch<H: BatchHost>(
         return false;
     }
     if let Some(rej) = rejection.lock().unwrap().take() {
-        refuse(stream, rej.code, rej.message);
+        refuse(out, rej.code, rej.message);
         return false;
     }
     let done = Frame::BatchDone {
         batch_id,
         stats: host.finish_batch(before),
     };
-    protocol::send(stream, &done).is_ok()
+    protocol::send(&mut out, &done).is_ok()
 }
 
 #[cfg(test)]
@@ -543,6 +589,134 @@ mod tests {
             retained <= 2,
             "{retained} handles retained after {CONNECTIONS} sequential connections"
         );
+        server.stop().unwrap();
+    }
+
+    /// The wake-up connect cannot reach a loop whose socket file is
+    /// gone; `stop` must still return, leaving the loop detached.
+    #[test]
+    fn stop_returns_when_the_socket_file_is_gone() {
+        let sock =
+            std::env::temp_dir().join(format!("confluence-serve-gone-{}.sock", std::process::id()));
+        let server = Server::bind(&sock, Arc::new(IdleHost)).unwrap().spawn();
+        std::fs::remove_file(&sock).unwrap();
+        let (stopped_tx, stopped) = mpsc::channel();
+        thread::spawn(move || stopped_tx.send(server.stop().is_ok()));
+        assert_eq!(
+            stopped.recv_timeout(Duration::from_secs(5)),
+            Ok(true),
+            "stop did not return within 5 s of its socket file being removed"
+        );
+    }
+
+    /// Another server that binds the path takes the wake-up connect;
+    /// `stop` must still return, and must leave the new server's socket
+    /// file in place.
+    #[test]
+    fn stop_leaves_a_rebound_path_to_its_new_owner() {
+        let sock = std::env::temp_dir().join(format!(
+            "confluence-serve-rebound-{}.sock",
+            std::process::id()
+        ));
+        let old = Server::bind(&sock, Arc::new(IdleHost)).unwrap().spawn();
+        let new = Server::bind(&sock, Arc::new(IdleHost)).unwrap().spawn();
+        let (stopped_tx, stopped) = mpsc::channel();
+        thread::spawn(move || stopped_tx.send(old.stop().is_ok()));
+        assert_eq!(stopped.recv_timeout(Duration::from_secs(5)), Ok(true));
+        drop(crate::Client::connect(&sock, 1, 0).expect("the new server still answers"));
+        new.stop().unwrap();
+    }
+
+    /// Job `[0]` returns at once; job `[1]` waits until the test opens
+    /// the gate. Every job echoes its payload.
+    struct GatedHost {
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl BatchHost for GatedHost {
+        type Snapshot = ();
+
+        fn schema(&self) -> u32 {
+            1
+        }
+
+        fn validate_hello(&self, _: u32, _: u64) -> Result<(), Rejection> {
+            Ok(())
+        }
+
+        fn threads(&self) -> usize {
+            2
+        }
+
+        fn cost_hint(&self, _: &[u8]) -> u64 {
+            0
+        }
+
+        fn run_job(&self, job: &[u8]) -> Result<Vec<u8>, Rejection> {
+            if job == [1] {
+                // Bounded, so a failed test cannot wedge the worker.
+                let _ = self
+                    .gate
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(10));
+            }
+            Ok(job.to_vec())
+        }
+
+        fn snapshot(&self) {}
+
+        fn finish_batch(&self, _: ()) -> BatchStats {
+            BatchStats::default()
+        }
+    }
+
+    /// Results stream in completion order: job 0's result must reach
+    /// the client while job 1 is still running, because job 1 runs only
+    /// once the client has read it. A writer that held results until
+    /// the batch ended would deadlock with the client; the read timeout
+    /// is the watchdog that fails the test instead.
+    #[test]
+    fn results_stream_before_the_batch_ends() {
+        let sock = std::env::temp_dir().join(format!(
+            "confluence-serve-stream-{}.sock",
+            std::process::id()
+        ));
+        let (open_gate, gate) = mpsc::channel();
+        let host = Arc::new(GatedHost {
+            gate: Mutex::new(gate),
+        });
+        let server = Server::bind(&sock, host).unwrap().spawn();
+        let mut stream = UnixStream::connect(&sock).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let hello = Frame::Hello {
+            proto: PROTO_VERSION,
+            schema: 1,
+            fingerprint: 0,
+        };
+        protocol::send(&mut stream, &hello).unwrap();
+        assert!(matches!(
+            protocol::recv(&mut stream),
+            Ok(Frame::HelloAck { .. })
+        ));
+        let jobs = vec![vec![0], vec![1]];
+        protocol::send(&mut stream, &Frame::SubmitBatch { batch_id: 7, jobs }).unwrap();
+        match protocol::recv(&mut stream) {
+            Ok(Frame::JobResult { job_idx: 0, output }) => assert_eq!(output, [0]),
+            other => panic!("expected job 0's result while job 1 runs, got {other:?}"),
+        }
+        open_gate.send(()).unwrap();
+        match protocol::recv(&mut stream) {
+            Ok(Frame::JobResult { job_idx: 1, output }) => assert_eq!(output, [1]),
+            other => panic!("expected job 1's result, got {other:?}"),
+        }
+        assert!(matches!(
+            protocol::recv(&mut stream),
+            Ok(Frame::BatchDone { batch_id: 7, .. })
+        ));
+        drop(stream);
         server.stop().unwrap();
     }
 }

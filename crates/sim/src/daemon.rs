@@ -129,7 +129,11 @@ impl BatchHost for EngineHost {
         // payloads earn their typed rejection in run_job) and fetch
         // every local miss from the peers in one round trip. Called
         // after `snapshot`, so the promotions land in this batch's
-        // remote-counter deltas.
+        // remote-counter deltas. Without peers there is nothing to
+        // fetch, so nothing is decoded.
+        if self.engine.peers().is_none() {
+            return;
+        }
         let decoded: Vec<Job> = jobs
             .iter()
             .filter_map(|payload| Job::from_bytes(payload).ok())

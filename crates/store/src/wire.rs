@@ -14,7 +14,10 @@
 //! payload in the envelope `u32 len | payload | u64 fnv1a(payload)` over
 //! any `io::Read`/`io::Write`. A frame either arrives whole and verified
 //! or fails with a typed [`FrameError`]; after a corrupt frame the stream
-//! cannot be resynchronized and must be closed.
+//! cannot be resynchronized and must be closed. [`put_frame`] builds the
+//! same envelope in memory, so a writer can send several frames in one
+//! write; a reader should go through a buffer (`io::BufReader`), since
+//! [`read_frame`] makes three reads per frame.
 
 use std::error::Error;
 use std::fmt;
@@ -257,19 +260,37 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one stream frame: `u32 len | payload | u64 fnv1a(payload)`.
-/// The checksum covers the payload only; the fixed-width length makes
-/// the envelope self-delimiting without touching the payload's encoding.
+/// Appends one stream frame to `out`: `u32 len | payload | u64
+/// fnv1a(payload)`. The checksum covers the payload only; the
+/// fixed-width length makes the envelope self-delimiting without
+/// touching the payload's encoding.
 ///
 /// # Errors
 ///
-/// Errors if the transport rejects the write.
-pub fn write_frame<W: io::Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+/// Errors, leaving `out` unchanged, if the payload is longer than a
+/// `u32` can say.
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&fnv1a(payload).to_le_bytes())?;
+    out.reserve(payload.len() + 12);
+    put_u32_le(out, len);
+    out.extend_from_slice(payload);
+    put_u64_le(out, fnv1a(payload));
+    Ok(())
+}
+
+/// Writes one stream frame (the [`put_frame`] envelope) in a single
+/// `write_all`, then flushes: on an unbuffered socket a frame costs one
+/// write, not one per envelope field.
+///
+/// # Errors
+///
+/// Errors if the payload is too long for the envelope or the transport
+/// rejects the write.
+pub fn write_frame<W: io::Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+    let mut frame = Vec::new();
+    put_frame(&mut frame, payload)?;
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -422,6 +443,50 @@ mod tests {
         assert_eq!(read_frame(&mut r, 1024).unwrap(), b"");
         assert_eq!(read_frame(&mut r, 1024).unwrap(), b"third frame");
         assert!(matches!(read_frame(&mut r, 1024), Err(FrameError::Closed)));
+    }
+
+    /// Golden bytes of the envelope, `u32 len | payload | u64 fnv1a`,
+    /// whether it is written to a stream or built in memory for a burst.
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let golden = "0200000061626a9845b507449c08";
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let mut written = Vec::new();
+        write_frame(&mut written, b"ab").unwrap();
+        assert_eq!(hex(&written), golden);
+        let mut burst = Vec::new();
+        put_frame(&mut burst, b"ab").unwrap();
+        assert_eq!(hex(&burst), golden);
+    }
+
+    /// Counts the writes that reach it, as an unbuffered socket would.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut w = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_frame(&mut w, b"payload").unwrap();
+        assert_eq!(w.writes, 1);
+        let mut r = std::io::Cursor::new(w.bytes);
+        assert_eq!(read_frame(&mut r, 1024).unwrap(), b"payload");
     }
 
     #[test]
