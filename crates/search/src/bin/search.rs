@@ -7,113 +7,38 @@
 //! previous search serves re-runs without executing a single
 //! simulation — stderr reports exactly how many ran.
 //!
-//! Usage: `search [--list] [--study NAME]... [--seed N] [--quick]
-//! [--csv | --markdown] [--threads N] [--store-dir DIR | --no-store]
-//! [--store-cap-bytes N] [--no-fastpath] [--connect SOCK]`
-//!
-//! With no `--study`, every registered study runs. `--connect` submits
-//! each search batch to a `confluence-serve` daemon instead of
-//! simulating in process; stdout stays byte-identical either way.
+//! With no `--study`, every registered study runs; `--seed N` (default
+//! 42) seeds every strategy. `--connect` submits each search batch to a
+//! `confluence-serve` daemon instead of simulating in process; stdout
+//! stays byte-identical either way. The flags are listed by the usage
+//! line that `confluence_sim::cli` renders from the table in `main`,
+//! printed on any argument error.
 
 use confluence_search::{driver, objective};
-use confluence_sim::cli;
+use confluence_sim::cli::{self, Flag};
 
-const USAGE: &str = "search [--list] [--study NAME]... [--seed N] [--quick] \
-     [--csv | --markdown] [--threads N] [--store-dir DIR | --no-store] \
-     [--store-cap-bytes N] [--peer SOCK]... [--peer-timeout-ms N] \
-     [--no-fastpath] [--connect SOCK]";
-
-/// The `--seed N` / `--seed=N` value, defaulting to 42. Exits with
-/// status 2 on a malformed value.
-fn seed_from_args(args: &[String]) -> u64 {
-    let mut found: Option<&str> = None;
-    let mut i = 1;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix("--seed=") {
-            found = Some(v);
-        } else if args[i] == "--seed" {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    found = Some(v);
-                    i += 1;
-                }
-                _ => {
-                    eprintln!("error: --seed requires an integer value");
-                    std::process::exit(2);
-                }
-            }
-        }
-        i += 1;
-    }
-    match found {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --seed requires an integer value, got '{v}'");
-            std::process::exit(2);
-        }),
-        None => 42,
-    }
-}
-
-/// Every `--study NAME` / `--study=NAME` selection, resolved against the
-/// registry. Exits with status 2 on an unknown name.
-fn studies_from_args(args: &[String]) -> Vec<objective::Study> {
-    let resolve = |name: &str| {
-        objective::find(name).unwrap_or_else(|| {
-            eprintln!("error: unknown study '{name}' (try --list)");
-            std::process::exit(2);
-        })
-    };
-    let mut selected = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--study=") {
-            selected.push(resolve(name));
-        } else if args[i] == "--study" {
-            match args.get(i + 1) {
-                Some(name) if !name.starts_with("--") => {
-                    selected.push(resolve(name));
-                    i += 1;
-                }
-                _ => {
-                    eprintln!("error: --study requires a name (try --list)");
-                    std::process::exit(2);
-                }
-            }
-        }
-        i += 1;
-    }
-    if selected.is_empty() {
-        objective::registry()
-    } else {
-        selected
-    }
-}
+const SEED: Flag = Flag::value("--seed", "N", "an integer value");
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let switches = [cli::COMMON_SWITCHES, &["--list"]].concat();
-    let values = [cli::COMMON_VALUE_FLAGS, &["--study", "--seed", "--connect"]].concat();
-    cli::reject_unknown_args(&args, &switches, &values, USAGE);
-
-    if args.iter().any(|a| a == "--list") {
+    let mut cli = cli::parse(&[
+        &[cli::LIST, cli::STUDY, SEED],
+        cli::OUTPUT_FLAGS,
+        cli::ENGINE_FLAGS,
+        &[cli::CONNECT],
+    ]);
+    if cli.args.switch("--list") {
         for s in objective::registry() {
             println!("{:18} {:18} {}", s.name, s.strategy_name(), s.caption);
         }
         return;
     }
-
-    let flags = cli::parse_common(&args);
-    let seed = seed_from_args(&args);
-    let studies = studies_from_args(&args);
-    let cfg = flags.config();
-
-    eprintln!("generating workloads...");
-    let mut engine = cfg.engine().with_exec_mode(cli::exec_mode_from_args(&args));
-    if let Some(n) = flags.threads {
-        engine = engine.with_threads(n);
-    }
-    let engine = cli::attach_store(engine, &args);
-    let connect = cli::connect_from_args(&args);
+    let seed = cli
+        .args
+        .parsed("--seed")
+        .unwrap_or_else(|e| cli::fail(&e))
+        .unwrap_or(42);
+    let studies = cli.studies(objective::find, objective::registry);
+    let engine = cli.engine();
 
     let mut daemon_executed: u64 = 0;
     let mut total_iterations = 0;
@@ -123,36 +48,28 @@ fn main() {
             study.name,
             study.strategy_name()
         );
-        let outcome = driver::run_search(&engine, &cfg, study, seed, |jobs| match &connect {
-            Some(sock) => match confluence_sim::daemon::submit_jobs(sock, &engine, jobs) {
-                Ok(stats) => daemon_executed += stats.executed,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            },
-            None => {
-                engine.run(jobs);
+        let outcome = driver::run_search(&engine, &cli.cfg, study, seed, |jobs| {
+            if let Some(stats) = cli.run_jobs(&engine, jobs) {
+                daemon_executed += stats.executed;
             }
         });
-        println!("{}", flags.render(&outcome.trajectory));
-        println!("{}", flags.render(&outcome.frontier));
-        println!("{}", flags.render(&outcome.answer));
+        println!("{}", cli.render(&outcome.trajectory));
+        println!("{}", cli.render(&outcome.frontier));
+        println!("{}", cli.render(&outcome.answer));
         total_iterations += outcome.iterations;
     }
 
-    cli::run_store_gc(&engine, &args);
-    match &connect {
-        Some(_) => eprintln!(
+    cli.run_store_gc(&engine);
+    if cli.connect().is_some() {
+        eprintln!(
             "search: daemon executed {daemon_executed} simulations across \
              {total_iterations} search iterations"
-        ),
-        None => {
-            eprintln!(
-                "search: executed {} simulations across {total_iterations} search iterations",
-                engine.stats().executed
-            );
-            eprintln!("{}", cli::cache_summary(&engine));
-        }
+        );
+    } else {
+        eprintln!(
+            "search: executed {} simulations across {total_iterations} search iterations",
+            engine.stats().executed
+        );
+        eprintln!("{}", cli::cache_summary(&engine));
     }
 }

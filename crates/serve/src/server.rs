@@ -24,6 +24,7 @@
 //! thread exits. Nothing a client does can poison the shared engine.
 
 use std::io::{self, BufReader, Write};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -143,12 +144,25 @@ impl<H: BatchHost> Server<H> {
     ///
     /// # Errors
     ///
-    /// Errors if the socket cannot be bound.
+    /// Errors if the socket cannot be bound, and without touching it if
+    /// `path` holds anything but a socket.
     pub fn bind(path: impl AsRef<Path>, host: Arc<H>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         // A crashed daemon leaves its socket file behind; binding over
-        // it needs the stale file gone. Losing a race here means the
-        // path is genuinely in use and bind reports AddrInUse.
+        // it needs the stale file gone. Only a socket is removed: a
+        // mistyped `--socket notes.txt` must not delete the user's file.
+        // Losing a race here means the path is genuinely in use and bind
+        // reports AddrInUse.
+        match std::fs::symlink_metadata(&path) {
+            Ok(meta) if !meta.file_type().is_socket() => {
+                return Err(io::Error::new(
+                    io::ErrorKind::AlreadyExists,
+                    format!("{} exists and is not a socket", path.display()),
+                ));
+            }
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         match std::fs::remove_file(&path) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -625,6 +639,23 @@ mod tests {
         assert_eq!(stopped.recv_timeout(Duration::from_secs(5)), Ok(true));
         drop(crate::Client::connect(&sock, 1, 0).expect("the new server still answers"));
         new.stop().unwrap();
+    }
+
+    /// A path that holds anything but a socket is not the server's to
+    /// replace: `bind` must fail and leave the file as it was.
+    #[test]
+    fn bind_leaves_a_regular_file_in_place() {
+        let path = std::env::temp_dir().join(format!(
+            "confluence-serve-not-a-socket-{}.txt",
+            std::process::id()
+        ));
+        std::fs::write(&path, b"notes").unwrap();
+        let err = Server::bind(&path, Arc::new(IdleHost))
+            .err()
+            .expect("binding over a regular file must fail");
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+        assert_eq!(std::fs::read(&path).unwrap(), b"notes");
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// Job `[0]` returns at once; job `[1]` waits until the test opens

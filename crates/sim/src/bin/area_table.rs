@@ -1,27 +1,14 @@
 //! Regenerates the paper's storage/area accounting.
-//! Usage: `area_table [--csv | --markdown]`.
 //!
 //! The table is pure arithmetic over the design points' storage
 //! profiles — no simulations run, so none of the suite-wide engine or
-//! store options apply here.
+//! store options apply here: only the output-format switches, listed by
+//! the usage line printed on any argument error.
 
 use confluence_sim::cli;
 use confluence_sim::experiments;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    cli::reject_unknown_args(
-        &args,
-        &["--csv", "--markdown"],
-        &[],
-        "area_table [--csv | --markdown]",
-    );
-    let r = experiments::area_table();
-    if args.iter().any(|a| a == "--csv") {
-        println!("{}", r.to_csv());
-    } else if args.iter().any(|a| a == "--markdown") {
-        println!("{}", r.to_markdown());
-    } else {
-        println!("{}", r.to_table());
-    }
+    let cli = cli::parse(&[cli::OUTPUT_FLAGS]);
+    println!("{}", cli.render(&experiments::area_table()));
 }

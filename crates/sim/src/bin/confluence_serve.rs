@@ -8,9 +8,11 @@
 //! byte-identical to an in-process run, while all execution, caching,
 //! and store maintenance happen here.
 //!
-//! Usage: `confluence-serve --socket PATH [--quick] [--threads N]
-//! [--store-dir DIR | --no-store] [--store-cap-bytes N]
-//! [--peer SOCK]... [--peer-timeout-ms N] [--no-fastpath]`
+//! `--socket PATH` is required; the other flags are the engine flags of
+//! every batch binary (`confluence_sim::cli::ENGINE_FLAGS`), listed by
+//! the usage line printed on any argument error. The daemon declares no
+//! `--connect`, so a shell that exports `CONFLUENCE_CONNECT` for its
+//! clients can still start it.
 //!
 //! `--peer SOCK` (repeatable) names other daemons forming a **remote
 //! warm tier**: a key that misses this daemon's memory and disk is
@@ -26,46 +28,21 @@
 //! rather than served aliased results. A ready line is printed to
 //! stderr once the socket is listening.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use confluence_serve::Server;
-use confluence_sim::cli;
+use confluence_sim::cli::{self, Flag};
 use confluence_sim::daemon::EngineHost;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(socket) = cli::socket_from_args(&args) else {
-        eprintln!("error: confluence-serve requires --socket PATH");
-        std::process::exit(2);
-    };
-    if cli::connect_from_args(&args).is_some() {
-        eprintln!("error: --connect is a client flag; the daemon listens with --socket");
-        std::process::exit(2);
-    }
-    cli::reject_unknown_args(
-        &args,
-        &["--quick", "--no-store", "--no-fastpath"],
-        &[
-            "--socket",
-            "--threads",
-            "--store-dir",
-            "--store-cap-bytes",
-            "--peer",
-            "--peer-timeout-ms",
-        ],
-        "confluence-serve --socket PATH [--quick] [--threads N] \
-         [--store-dir DIR | --no-store] [--store-cap-bytes N] \
-         [--peer SOCK]... [--peer-timeout-ms N] [--no-fastpath]",
-    );
-    let flags = cli::parse_common(&args);
-    let cfg = flags.config();
+const SOCKET: Flag = Flag::value("--socket", "PATH", "a socket path");
 
-    eprintln!("generating workloads...");
-    let mut engine = cfg.engine().with_exec_mode(cli::exec_mode_from_args(&args));
-    if let Some(n) = flags.threads {
-        engine = engine.with_threads(n);
-    }
-    let engine = cli::attach_store(engine, &args);
+fn main() {
+    let mut cli = cli::parse(&[&[SOCKET], cli::ENGINE_FLAGS]);
+    let Some(socket) = cli.args.value("--socket").map(PathBuf::from) else {
+        cli::fail("confluence-serve requires --socket PATH");
+    };
+    let engine = cli.engine();
     let store = match engine.store() {
         Some(s) => format!("store {}", s.root().display()),
         None => "store disabled".to_string(),
@@ -82,7 +59,7 @@ fn main() {
         ),
         None => String::new(),
     };
-    let host = Arc::new(EngineHost::new(engine, cli::store_cap_from_args(&args)));
+    let host = Arc::new(EngineHost::new(engine, cli.store_cap));
 
     let server = match Server::bind(&socket, Arc::clone(&host)) {
         Ok(server) => server,
@@ -95,7 +72,7 @@ fn main() {
         "confluence-serve: listening on {} ({} mode, schema v{}, config {:016x}, \
          {} thread(s), {store}{peers})",
         socket.display(),
-        if flags.quick { "quick" } else { "full" },
+        if cli.cfg.quick { "quick" } else { "full" },
         confluence_sim::SCHEMA_VERSION,
         host.fingerprint(),
         host.engine().threads(),

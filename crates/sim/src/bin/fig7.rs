@@ -1,6 +1,7 @@
 //! Regenerates the paper's fig7 result through a [`confluence_sim::SimEngine`].
-//! Usage: `fig7 [--quick] [--csv] [--store-dir DIR | --no-store]`.
-//! `CONFLUENCE_STORE=DIR` also enables the persistent result store.
+//! Flags: listed by the usage line printed on any argument error (see
+//! [`confluence_sim::cli::run_figure`]); `CONFLUENCE_STORE=DIR` also
+//! enables the store.
 
 fn main() {
     confluence_sim::cli::run_figure(confluence_sim::experiments::fig7);

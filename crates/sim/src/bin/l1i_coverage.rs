@@ -1,6 +1,7 @@
 //! Regenerates the paper's l1i_coverage result through a [`confluence_sim::SimEngine`].
-//! Usage: `l1i_coverage [--quick] [--csv] [--store-dir DIR | --no-store]`.
-//! `CONFLUENCE_STORE=DIR` also enables the persistent result store.
+//! Flags: listed by the usage line printed on any argument error (see
+//! [`confluence_sim::cli::run_figure`]); `CONFLUENCE_STORE=DIR` also
+//! enables the store.
 
 fn main() {
     confluence_sim::cli::run_figure(confluence_sim::experiments::l1i_coverage);

@@ -6,11 +6,11 @@
 //! specifically, and asserts the pool's rendering is byte-identical to a
 //! fully serial reference.
 //!
-//! Usage: `timing_figs [--quick] [--csv|--markdown] [--threads N]
-//! [--compare-serial] [--store-dir DIR | --no-store] [--store-cap-bytes N]
-//! [--connect SOCK]`. `CONFLUENCE_STORE=DIR` also enables the persistent
-//! result store; `--connect` submits the batch to a `confluence-serve`
-//! daemon instead of simulating in process.
+//! `CONFLUENCE_STORE=DIR` also enables the persistent result store;
+//! `--connect` submits the batch to a `confluence-serve` daemon instead
+//! of simulating in process. The flags are listed by the usage line that
+//! `confluence_sim::cli` renders from the table in `main`, printed on any
+//! argument error.
 
 use confluence_sim::cli;
 use confluence_sim::experiments::{self, ExperimentConfig, FIG2_DESIGNS, FIG6_DESIGNS};
@@ -33,32 +33,11 @@ fn figures(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Report> {
     ]
 }
 
-const USAGE: &str = "timing_figs [--quick] [--csv | --markdown] [--compare-serial] \
-     [--threads N] [--store-dir DIR | --no-store] [--store-cap-bytes N] \
-     [--peer SOCK]... [--peer-timeout-ms N] [--no-fastpath] [--connect SOCK]";
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let switches = [cli::COMMON_SWITCHES, &["--compare-serial"]].concat();
-    let values = [cli::COMMON_VALUE_FLAGS, &["--connect"]].concat();
-    cli::reject_unknown_args(&args, &switches, &values, USAGE);
-    let flags = cli::parse_common(&args);
-    let compare = args.iter().any(|a| a == "--compare-serial");
-    let cfg = flags.config();
-    let mut engine = cfg.engine().with_exec_mode(cli::exec_mode_from_args(&args));
-    if let Some(n) = flags.threads {
-        engine = engine.with_threads(n);
-    }
-    let engine = cli::attach_store(engine, &args);
-
-    let jobs = figure_jobs(&engine, &cfg);
-    let run = cli::dispatch_batch(&engine, &jobs, "for 3 timing figures", &args);
-    let reports = figures(&engine, &cfg);
-    let rendered = cli::finish_batch(&engine, &flags, &run, &reports, &args);
-
-    if compare {
-        cli::compare_serial(&engine, &flags, &jobs, &run, &rendered, |reference| {
-            figures(reference, &cfg)
-        });
-    }
+    cli::parse(&[
+        cli::OUTPUT_FLAGS,
+        cli::ENGINE_FLAGS,
+        &[cli::COMPARE_SERIAL, cli::CONNECT],
+    ])
+    .run_reports("for 3 timing figures", figure_jobs, figures);
 }

@@ -1,7 +1,23 @@
-//! Shared command-line plumbing for the figure binaries: every runner
-//! accepts the same persistent-store options and prints the same cache
-//! summary.
+//! The one front end of every binary. A binary names the flags it
+//! accepts — the shared [`OUTPUT_FLAGS`] and [`ENGINE_FLAGS`] tables
+//! plus its own [`Flag`]s — and [`parse`] reads the command line once
+//! against them. The usage line is rendered from the same tables, so it
+//! cannot drift from what is accepted.
 //!
+//! Every argument error is settled before any workload is generated: an
+//! unknown or stray argument, a switch given a value, a missing or
+//! malformed value, a single-value flag given twice, `--peer` without a
+//! store, a store directory that cannot be opened, and
+//! `--compare-serial` together with `--connect`. Each prints an `error:`
+//! line (unknown arguments add the usage line) and exits with status 2.
+//! Before strict parsing a typo like `--qiuck` silently fell through and
+//! ran the full multi-hour suite.
+//!
+//! The checked [`Cli`] then builds the engine ([`Cli::engine`]), runs a
+//! batch in process or on a `--connect` daemon ([`Cli::run_jobs`]), and
+//! drives a whole multi-report binary ([`Cli::run_reports`]).
+//!
+//! A flag's environment fallback is read only when the flag is absent.
 //! Resolution order for the store directory:
 //!
 //! 1. `--no-store` — run with the in-memory cache only;
@@ -13,9 +29,11 @@
 //! (`crate::codec`), so entries written by older schemas are invisible
 //! rather than wrong.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
+use confluence_serve::BatchStats;
 use confluence_store::ResultStore;
 use confluence_trace::ExecMode;
 
@@ -23,6 +41,7 @@ use crate::codec::SCHEMA_VERSION;
 use crate::engine::{EngineStats, SimEngine};
 use crate::experiments::{unique_jobs, ExperimentConfig};
 use crate::job::Job;
+use crate::peers::{PeerSet, DEFAULT_PEER_TIMEOUT};
 use crate::report::Report;
 
 /// Environment variable naming the default store directory.
@@ -39,575 +58,565 @@ pub const CONNECT_ENV: &str = "CONFLUENCE_CONNECT";
 /// tier (comma-separated, same order as repeated `--peer` flags).
 pub const PEER_ENV: &str = "CONFLUENCE_PEER";
 
-/// The boolean flags every engine-running binary accepts (the shared
-/// half of each binary's known-flag table — see [`reject_unknown_args`]).
-pub const COMMON_SWITCHES: &[&str] = &[
-    "--quick",
-    "--csv",
-    "--markdown",
-    "--no-store",
-    "--no-fastpath",
+/// One flag a binary accepts: a switch, or a flag that takes a value as
+/// `--flag V` or `--flag=V`.
+#[derive(Clone, Copy, Debug)]
+pub struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the usage line and what it must be
+    /// (for error messages); `None` for a switch.
+    value: Option<(&'static str, &'static str)>,
+    /// The environment variable read when the flag is not given; a
+    /// repeatable flag reads it as a comma-separated list.
+    env: Option<&'static str>,
+    /// Whether the flag may take several values, kept in command-line
+    /// order. Any other value flag given twice is an error.
+    repeatable: bool,
+}
+
+impl Flag {
+    /// A boolean switch.
+    pub const fn switch(name: &'static str) -> Flag {
+        Flag {
+            name,
+            value: None,
+            env: None,
+            repeatable: false,
+        }
+    }
+
+    /// A flag taking one value, shown as `placeholder` in the usage line
+    /// and described as `what` when it is missing or malformed.
+    pub const fn value(name: &'static str, placeholder: &'static str, what: &'static str) -> Flag {
+        Flag {
+            value: Some((placeholder, what)),
+            ..Flag::switch(name)
+        }
+    }
+
+    /// The same flag, falling back to the environment variable `var`.
+    pub const fn env(self, var: &'static str) -> Flag {
+        Flag {
+            env: Some(var),
+            ..self
+        }
+    }
+
+    /// The same flag, accepted any number of times.
+    pub const fn repeatable(self) -> Flag {
+        Flag {
+            repeatable: true,
+            ..self
+        }
+    }
+
+    fn what(&self) -> &'static str {
+        self.value.map_or("", |(_, what)| what)
+    }
+
+    fn usage(&self) -> String {
+        match self.value {
+            None => format!("[{}]", self.name),
+            Some((v, _)) if self.repeatable => format!("[{} {v}]...", self.name),
+            Some((v, _)) => format!("[{} {v}]", self.name),
+        }
+    }
+}
+
+/// The output-format switches of every binary that prints reports.
+pub const OUTPUT_FLAGS: &[Flag] = &[Flag::switch("--csv"), Flag::switch("--markdown")];
+
+/// The flags of every binary that builds an engine: scale, pool width,
+/// store, remote warm tier and record-stream path.
+pub const ENGINE_FLAGS: &[Flag] = &[
+    Flag::switch("--quick"),
+    Flag::value("--threads", "N", "an integer value"),
+    Flag::value("--store-dir", "DIR", "a path").env(STORE_ENV),
+    Flag::switch("--no-store"),
+    Flag::value("--store-cap-bytes", "N", "a byte count").env(STORE_CAP_ENV),
+    Flag::value("--peer", "SOCK", "a socket path")
+        .env(PEER_ENV)
+        .repeatable(),
+    Flag::value("--peer-timeout-ms", "N", "a millisecond count"),
+    Flag::switch("--no-fastpath"),
 ];
 
-/// The value-taking flags every engine-running binary accepts.
-pub const COMMON_VALUE_FLAGS: &[&str] = &[
-    "--threads",
-    "--store-dir",
-    "--store-cap-bytes",
-    "--peer",
-    "--peer-timeout-ms",
-];
+/// `--connect SOCK`: run the batches on a `confluence-serve` daemon.
+pub const CONNECT: Flag = Flag::value("--connect", "SOCK", "a socket path").env(CONNECT_ENV);
 
-/// Everything on the command line that is not in the known-flag tables,
-/// in argument order: unknown `--flags`, known switches spelled with a
-/// value (`--quick=1`), and stray positional words. `value_flags`
-/// consume the following token as their value (space form) unless it
-/// looks like another flag, matching [`flag_value`]'s grammar exactly —
-/// so a `--threads` with a missing value is *not* reported here (it is
-/// `flag_value`'s own exit-2 case, with a more precise message).
-pub fn find_unknown_args(args: &[String], switches: &[&str], value_flags: &[&str]) -> Vec<String> {
+/// `--compare-serial`: re-run the batch serially and check the bytes
+/// (see [`Cli::run_reports`]).
+pub const COMPARE_SERIAL: Flag = Flag::switch("--compare-serial");
+
+/// `--list`: print the study registry and exit.
+pub const LIST: Flag = Flag::switch("--list");
+
+/// `--study NAME`: select a registered study (see [`Cli::studies`]).
+pub const STUDY: Flag = Flag::value("--study", "NAME", "a name (try --list)").repeatable();
+
+/// The values one command line gave the flags it declared.
+#[derive(Debug, Default)]
+pub struct Args {
+    /// Each flag given, in the order first seen: the flag, where its
+    /// values came from (its name, or the environment variable that
+    /// stood in for it) and its values (none for a switch).
+    given: Vec<(Flag, &'static str, Vec<String>)>,
+}
+
+impl Args {
+    fn get(&self, name: &str) -> Option<&(Flag, &'static str, Vec<String>)> {
+        self.given.iter().find(|(flag, ..)| flag.name == name)
+    }
+
+    /// Whether the switch `name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// The value of the flag `name`, if it or its environment variable
+    /// gave one.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.values(name).first().map(String::as_str)
+    }
+
+    /// Every value of the repeatable flag `name`, in command-line order.
+    fn values(&self, name: &str) -> &[String] {
+        self.get(name).map_or(&[], |(.., values)| values)
+    }
+
+    /// The value of `name` parsed as `T`. A malformed value is an error
+    /// naming the flag, or the environment variable that supplied it.
+    pub fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let (Some((flag, source, _)), Some(v)) = (self.get(name), self.value(name)) else {
+            return Ok(None);
+        };
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("{source} requires {}, got '{v}'", flag.what()))
+    }
+
+    /// The store directory asked for, if any; `--no-store` wins over
+    /// `--store-dir` and its environment variable.
+    fn store_dir(&self) -> Option<PathBuf> {
+        if self.switch("--no-store") {
+            return None;
+        }
+        self.value("--store-dir").map(PathBuf::from)
+    }
+}
+
+/// Why a command line was refused. Either way the binary exits with
+/// status 2.
+#[derive(Debug, PartialEq, Eq)]
+enum ArgError {
+    /// Unknown flags, switches given a value and stray words, in
+    /// command-line order; reported with the usage line.
+    Unrecognized(Vec<String>),
+    /// A missing or repeated value, naming the flag.
+    Invalid(String),
+}
+
+/// One pass over `argv` (`argv[0]` is the binary path) against `flags`,
+/// then each absent flag's environment fallback, read through `env`.
+/// A value flag takes the next argument as its value unless that looks
+/// like another flag (`--threads --quick` is a missing value).
+fn scan(
+    argv: &[String],
+    flags: &[Flag],
+    env: impl Fn(&str) -> Option<String>,
+) -> Result<Args, ArgError> {
+    let mut args = Args::default();
     let mut unknown = Vec::new();
-    let mut i = 1; // args[0] is the binary path
-    while i < args.len() {
-        let arg = &args[i];
-        i += 1;
-        if let Some(rest) = arg.strip_prefix("--") {
-            let name: &str = &arg[..2 + rest.find('=').unwrap_or(rest.len())];
-            let has_eq = rest.contains('=');
-            if value_flags.contains(&name) {
-                if !has_eq {
-                    // Space-form value: consume it (when present).
-                    if args.get(i).is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
-                }
-            } else if !switches.contains(&name) || has_eq {
-                unknown.push(arg.clone());
-            }
-        } else {
+    let mut invalid = None;
+    let mut rest = argv.iter().skip(1).peekable();
+    while let Some(arg) = rest.next() {
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, v)) => (name, Some(v)),
+            None => (arg.as_str(), None),
+        };
+        let Some(flag) = flags
+            .iter()
+            .find(|f| f.name == name && (f.value.is_some() || inline.is_none()))
+        else {
             unknown.push(arg.clone());
+            continue;
+        };
+        let value = match inline {
+            Some(v) => Some(v.to_string()),
+            None if flag.value.is_some() => rest.next_if(|v| !v.starts_with("--")).cloned(),
+            None => None,
+        };
+        if flag.value.is_some() && value.as_deref().unwrap_or("").is_empty() {
+            invalid.get_or_insert(format!("{} requires {}", flag.name, flag.what()));
+            continue;
         }
-    }
-    unknown
-}
-
-/// The strict-parsing gate every binary runs right after collecting its
-/// arguments: anything [`find_unknown_args`] flags is an error — printed
-/// with the binary's usage line — and exit 2. Before this gate a typo
-/// like `--qiuck` silently fell through the string probes and ran the
-/// full multi-hour suite.
-pub fn reject_unknown_args(args: &[String], switches: &[&str], value_flags: &[&str], usage: &str) {
-    let unknown = find_unknown_args(args, switches, value_flags);
-    if unknown.is_empty() {
-        return;
-    }
-    for arg in &unknown {
-        eprintln!("error: unrecognized argument '{arg}'");
-    }
-    eprintln!("usage: {usage}");
-    std::process::exit(2);
-}
-
-/// The usage tail shared by every single-figure binary (see
-/// [`run_figure`]); batch binaries append their extras to it.
-pub const FIGURE_USAGE_TAIL: &str = "[--quick] [--csv | --markdown] [--threads N] \
-     [--store-dir DIR | --no-store] [--store-cap-bytes N] \
-     [--peer SOCK]... [--peer-timeout-ms N] [--no-fastpath]";
-
-/// The value of `--flag V` or `--flag=V` on the command line, else the
-/// `env` fallback (when given and non-empty). `what` names the expected
-/// value in the error message. Exits with status 2 when the flag is
-/// present without a usable value — every option shared by the figure
-/// binaries parses through this one helper, so the accepted spellings
-/// cannot drift apart.
-fn flag_value(args: &[String], flag: &str, what: &str, env: Option<&str>) -> Option<String> {
-    let eq_form = format!("{flag}=");
-    if let Some(v) = args.iter().find_map(|a| a.strip_prefix(eq_form.as_str())) {
-        if v.is_empty() {
-            eprintln!("error: {flag} requires {what}");
-            std::process::exit(2);
-        }
-        return Some(v.to_string());
-    }
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => return Some(v.clone()),
-            _ => {
-                eprintln!("error: {flag} requires {what}");
-                std::process::exit(2);
+        match args.given.iter_mut().find(|(f, ..)| f.name == flag.name) {
+            None => args
+                .given
+                .push((*flag, flag.name, value.into_iter().collect())),
+            Some((.., values)) if flag.repeatable || flag.value.is_none() => values.extend(value),
+            Some(_) => {
+                invalid.get_or_insert(format!("{} may be given only once", flag.name));
             }
         }
     }
-    env.and_then(std::env::var_os)
-        .filter(|v| !v.is_empty())
-        .and_then(|v| v.into_string().ok())
+    if !unknown.is_empty() {
+        return Err(ArgError::Unrecognized(unknown));
+    }
+    if let Some(message) = invalid {
+        return Err(ArgError::Invalid(message));
+    }
+    for flag in flags {
+        let Some(var) = flag.env.filter(|_| args.get(flag.name).is_none()) else {
+            continue;
+        };
+        let Some(v) = env(var).filter(|v| !v.is_empty()) else {
+            continue;
+        };
+        let values = if flag.repeatable {
+            v.split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .map(String::from)
+                .collect()
+        } else {
+            vec![v]
+        };
+        args.given.push((*flag, var, values));
+    }
+    Ok(args)
 }
 
-/// Every value of a **repeatable** `--flag V` / `--flag=V`, in command
-/// line order; when the flag never appears, the `env` fallback split on
-/// commas. Exits with status 2 on any occurrence without a usable value
-/// — a silently dropped peer would quietly turn a fleet-warm run cold.
-fn flag_values(args: &[String], flag: &str, what: &str, env: Option<&str>) -> Vec<String> {
-    let eq_form = format!("{flag}=");
-    let mut values = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        let arg = &args[i];
-        i += 1;
-        if let Some(v) = arg.strip_prefix(eq_form.as_str()) {
-            if v.is_empty() {
-                eprintln!("error: {flag} requires {what}");
-                std::process::exit(2);
+/// The usage line: the binary's file name, then every flag it accepts.
+fn usage(argv: &[String], flags: &[Flag]) -> String {
+    let binary = argv.first().and_then(|p| Path::new(p).file_name());
+    let line = binary.map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+    flags
+        .iter()
+        .fold(line, |line, flag| line + " " + &flag.usage())
+}
+
+/// Prints `error: {message}` and exits with status 2, the status of
+/// every argument error.
+pub fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
+/// Reads the process's command line against `tables` (the shared tables
+/// a binary accepts plus its own flags) and checks it in full; on any
+/// argument error prints it and exits with status 2, before the caller
+/// has generated anything.
+pub fn parse(tables: &[&[Flag]]) -> Cli {
+    let argv: Vec<String> = std::env::args().collect();
+    let flags = tables.concat();
+    match scan(&argv, &flags, |var| std::env::var(var).ok()) {
+        Ok(args) => Cli::check(args).unwrap_or_else(|e| fail(&e)),
+        Err(ArgError::Invalid(message)) => fail(&message),
+        Err(ArgError::Unrecognized(unknown)) => {
+            for arg in &unknown {
+                eprintln!("error: unrecognized argument '{arg}'");
             }
-            values.push(v.to_string());
-        } else if arg == flag {
-            match args.get(i) {
-                Some(v) if !v.starts_with("--") => {
-                    values.push(v.clone());
-                    i += 1;
-                }
-                _ => {
-                    eprintln!("error: {flag} requires {what}");
-                    std::process::exit(2);
-                }
-            }
+            eprintln!("usage: {}", usage(&argv, &flags));
+            std::process::exit(2)
         }
     }
-    if values.is_empty() {
-        if let Some(list) = env
-            .and_then(std::env::var_os)
-            .filter(|v| !v.is_empty())
-            .and_then(|v| v.into_string().ok())
-        {
-            values.extend(
-                list.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from),
-            );
-        }
-    }
-    values
 }
 
-/// The execution mode the given command line asks for: `--no-fastpath`
-/// forces the reference interpreter, otherwise the
-/// [`CONFLUENCE_NO_FASTPATH`](confluence_trace::NO_FASTPATH_ENV)
-/// environment variable decides (defaulting to the compiled fast path).
-/// Either way the outputs are bit-identical — the flag only trades speed
-/// for a shorter audit trail.
-pub fn exec_mode_from_args(args: &[String]) -> ExecMode {
-    if args.iter().any(|a| a == "--no-fastpath") {
-        ExecMode::Reference
-    } else {
-        ExecMode::from_env()
-    }
+/// A checked command line: the flags' values, with everything the
+/// engine needs already parsed, opened and cross-checked.
+pub struct Cli {
+    /// What the command line gave each flag.
+    pub args: Args,
+    /// The experiment scale (`--quick`).
+    pub cfg: ExperimentConfig,
+    /// The store size cap (`--store-cap-bytes`, else
+    /// `CONFLUENCE_STORE_CAP`), if any.
+    pub store_cap: Option<u64>,
+    threads: Option<usize>,
+    store: Option<ResultStore>,
+    peers: Option<PeerSet>,
 }
 
-/// The store directory the given command line asks for, if any.
-/// Exits with status 2 on a malformed `--store-dir`.
-pub fn store_dir_from_args(args: &[String]) -> Option<PathBuf> {
-    if args.iter().any(|a| a == "--no-store") {
-        return None;
-    }
-    flag_value(args, "--store-dir", "a path", Some(STORE_ENV)).map(PathBuf::from)
-}
-
-/// The daemon socket the command line asks to run against, if any: the
-/// `--connect` flag, else the `CONFLUENCE_CONNECT` environment
-/// variable. With a socket set, the batch binaries submit their jobs to
-/// a running `confluence-serve` instead of simulating in process.
-/// Exits with status 2 on a malformed `--connect`.
-pub fn connect_from_args(args: &[String]) -> Option<PathBuf> {
-    flag_value(args, "--connect", "a socket path", Some(CONNECT_ENV)).map(PathBuf::from)
-}
-
-/// The socket path a daemon invocation asks to listen on (`--socket`).
-/// Exits with status 2 on a malformed value.
-pub fn socket_from_args(args: &[String]) -> Option<PathBuf> {
-    flag_value(args, "--socket", "a socket path", None).map(PathBuf::from)
-}
-
-/// The per-peer I/O timeout the command line asks for
-/// (`--peer-timeout-ms`), defaulting to
-/// [`DEFAULT_PEER_TIMEOUT`](crate::peers::DEFAULT_PEER_TIMEOUT).
-/// Exits with status 2 on a malformed value.
-pub fn peer_timeout_from_args(args: &[String]) -> Duration {
-    match flag_value(args, "--peer-timeout-ms", "a millisecond count", None) {
-        Some(v) => Duration::from_millis(v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("error: --peer-timeout-ms requires a millisecond count, got '{v}'");
-            std::process::exit(2);
-        })),
-        None => crate::peers::DEFAULT_PEER_TIMEOUT,
-    }
-}
-
-/// The remote warm tier the command line asks for: every `--peer SOCK`
-/// (repeatable, consulted in order), else the comma-separated
-/// [`PEER_ENV`] fallback. Returns `None` when no peers are named. Exits
-/// with status 2 on a `--peer` without a value or a malformed
-/// `--peer-timeout-ms`.
-pub fn peers_from_args(args: &[String]) -> Option<crate::peers::PeerSet> {
-    let sockets: Vec<PathBuf> = flag_values(args, "--peer", "a socket path", Some(PEER_ENV))
-        .into_iter()
-        .map(PathBuf::from)
-        .collect();
-    if sockets.is_empty() {
-        return None;
-    }
-    Some(crate::peers::PeerSet::new(
-        sockets,
-        peer_timeout_from_args(args),
-    ))
-}
-
-/// Attaches the persistent store requested by `args` (if any) to an
-/// engine. Exits with status 2 if an explicitly requested store cannot
-/// be opened — silently dropping persistence the caller asked for would
-/// waste every simulation in the run.
-pub fn attach_store(engine: SimEngine, args: &[String]) -> SimEngine {
-    // In connect mode persistence belongs to the daemon: jobs never
-    // execute locally, so a local store would only record nothing and
-    // confuse the accounting. The same goes for peers — read-through
-    // happens on whichever engine executes, which is the daemon's.
-    if connect_from_args(args).is_some() {
-        if store_dir_from_args(args).is_some() {
-            eprintln!(
-                "note: --connect routes jobs to the daemon's store; ignoring the local store"
-            );
-        }
-        if peers_from_args(args).is_some() {
-            eprintln!(
-                "note: --connect routes jobs to the daemon; pass --peer to the daemon instead"
-            );
-        }
-        return engine;
-    }
-    let engine = match store_dir_from_args(args) {
-        Some(dir) => match ResultStore::open(&dir, SCHEMA_VERSION) {
-            Ok(store) => engine.with_store(store),
-            Err(e) => {
-                eprintln!("error: cannot open result store at {}: {e}", dir.display());
-                std::process::exit(2);
-            }
-        },
-        None => engine,
-    };
-    match peers_from_args(args) {
-        Some(peers) => {
-            // Fetched entries are promoted into the local store before
-            // they serve — that write-through is what makes a lying
-            // peer recoverable (adopt re-verifies every byte) and what
-            // keeps repeat runs local. No store, nowhere to promote.
-            if engine.store().is_none() {
-                eprintln!(
-                    "error: --peer requires a persistent store to promote fetched entries \
-                     into; pass --store-dir DIR (or set {STORE_ENV})"
-                );
-                std::process::exit(2);
-            }
-            engine.with_peers(peers)
-        }
-        None => engine,
-    }
-}
-
-/// The store size cap the command line asks for, if any: the
-/// `--store-cap-bytes` flag, else the `CONFLUENCE_STORE_CAP` environment
-/// variable. Exits with status 2 on a malformed value.
-pub fn store_cap_from_args(args: &[String]) -> Option<u64> {
-    flag_value(
-        args,
-        "--store-cap-bytes",
-        "a byte count",
-        Some(STORE_CAP_ENV),
-    )
-    .map(|v| {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            // Name whichever spelling actually supplied the bad value so
-            // the fix is obvious from the message alone.
-            let source = if args
-                .iter()
-                .any(|a| a == "--store-cap-bytes" || a.starts_with("--store-cap-bytes="))
-            {
-                "--store-cap-bytes"
-            } else {
-                STORE_CAP_ENV
-            };
-            eprintln!("error: {source} requires a byte count, got '{v}'");
-            std::process::exit(2);
-        })
-    })
-}
-
-/// Applies the requested store cap (if any) after a batch: evicts
-/// oldest-written entries until the store fits, reporting what went. Runs
-/// after the batch — never between jobs — so a capped store still serves
-/// every intra-run hit and only sheds history it can re-derive.
-pub fn run_store_gc(engine: &SimEngine, args: &[String]) {
-    let (Some(store), Some(cap)) = (engine.store(), store_cap_from_args(args)) else {
-        return;
-    };
-    let gc = store.evict_to_cap(cap);
-    if gc.evicted_entries > 0 {
-        eprintln!(
-            "store gc: evicted {} entries ({} bytes) to fit the {} byte cap",
-            gc.evicted_entries, gc.evicted_bytes, cap
-        );
-    }
-}
-
-/// The flags shared by the multi-report binaries (`all_experiments`,
-/// `sweeps`): scale, output format, and worker-pool width.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CommonFlags {
-    /// `--quick`: reduced simulation sizes.
-    pub quick: bool,
-    /// `--csv`: CSV output instead of aligned tables.
-    pub csv: bool,
-    /// `--markdown`: GitHub-flavoured markdown tables.
-    pub markdown: bool,
-    /// `--threads N`: explicit worker-pool width.
-    pub threads: Option<usize>,
-}
-
-impl CommonFlags {
-    /// The experiment configuration these flags select.
-    pub fn config(&self) -> ExperimentConfig {
-        if self.quick {
+impl Cli {
+    /// Parses the engine flags' values and refuses the combinations no
+    /// run can honour. Opens the store, so a directory that cannot be
+    /// opened fails here and not after the workloads are generated —
+    /// silently dropping persistence the caller asked for would waste
+    /// every simulation in the run.
+    fn check(args: Args) -> Result<Cli, String> {
+        let cfg = if args.switch("--quick") {
             ExperimentConfig::quick()
         } else {
             ExperimentConfig::full()
+        };
+        let threads = args.parsed("--threads")?;
+        let store_cap = args.parsed("--store-cap-bytes")?;
+        let timeout = args
+            .parsed("--peer-timeout-ms")?
+            .map_or(DEFAULT_PEER_TIMEOUT, Duration::from_millis);
+        let sockets: Vec<PathBuf> = args.values("--peer").iter().map(PathBuf::from).collect();
+        let mut peers = (!sockets.is_empty()).then(|| PeerSet::new(sockets, timeout));
+        let mut store_dir = args.store_dir();
+        if args.switch(CONNECT.name) {
+            if args.switch(COMPARE_SERIAL.name) {
+                return Err(format!(
+                    "--compare-serial cannot be combined with --connect or {CONNECT_ENV}: the \
+                     serial reference runs in process, so it would be timed against a daemon \
+                     round trip"
+                ));
+            }
+            // In connect mode persistence belongs to the daemon: jobs never
+            // execute locally, so a local store would only record nothing and
+            // confuse the accounting. The same goes for peers — read-through
+            // happens on whichever engine executes, which is the daemon's.
+            if store_dir.take().is_some() {
+                eprintln!(
+                    "note: --connect routes jobs to the daemon's store; ignoring the local store"
+                );
+            }
+            if peers.take().is_some() {
+                eprintln!(
+                    "note: --connect routes jobs to the daemon; pass --peer to the daemon instead"
+                );
+            }
         }
+        // Fetched entries are promoted into the local store before they
+        // serve — that write-through is what makes a lying peer
+        // recoverable (adopt re-verifies every byte) and what keeps repeat
+        // runs local. No store, nowhere to promote.
+        if peers.is_some() && store_dir.is_none() {
+            return Err(format!(
+                "--peer requires a persistent store to promote fetched entries into; \
+                 pass --store-dir DIR (or set {STORE_ENV})"
+            ));
+        }
+        let store = store_dir
+            .map(|dir| {
+                ResultStore::open(&dir, SCHEMA_VERSION)
+                    .map_err(|e| format!("cannot open result store at {}: {e}", dir.display()))
+            })
+            .transpose()?;
+        Ok(Cli {
+            args,
+            cfg,
+            store_cap,
+            threads,
+            store,
+            peers,
+        })
+    }
+
+    /// Generates the workloads and builds the engine the command line
+    /// asks for: pool width, record-stream path (`--no-fastpath` forces
+    /// the reference interpreter; outputs are bit-identical either way),
+    /// store and peers. Call it once: the store and peers move into the
+    /// engine.
+    pub fn engine(&mut self) -> SimEngine {
+        eprintln!("generating workloads...");
+        let mut engine = SimEngine::new(self.cfg.workloads());
+        if self.args.switch("--no-fastpath") {
+            engine = engine.with_exec_mode(ExecMode::Reference);
+        }
+        if let Some(n) = self.threads {
+            engine = engine.with_threads(n);
+        }
+        if let Some(store) = self.store.take() {
+            engine = engine.with_store(store);
+        }
+        if let Some(peers) = self.peers.take() {
+            engine = engine.with_peers(peers);
+        }
+        engine
+    }
+
+    /// The daemon socket batches run on (`--connect`, else
+    /// `CONFLUENCE_CONNECT`), if any.
+    pub fn connect(&self) -> Option<&Path> {
+        self.args.value(CONNECT.name).map(Path::new)
+    }
+
+    /// The studies `--study` selects, resolved by `find`, or the whole
+    /// `registry` when none is named. Exits with status 2 on an unknown
+    /// name.
+    pub fn studies<T>(
+        &self,
+        find: impl Fn(&str) -> Option<T>,
+        registry: impl FnOnce() -> Vec<T>,
+    ) -> Vec<T> {
+        let names = self.args.values(STUDY.name);
+        if names.is_empty() {
+            return registry();
+        }
+        names
+            .iter()
+            .map(|name| {
+                find(name).unwrap_or_else(|| fail(&format!("unknown study '{name}' (try --list)")))
+            })
+            .collect()
     }
 
     /// Renders a report in the selected output format.
     pub fn render(&self, r: &Report) -> String {
-        if self.csv {
+        if self.args.switch("--csv") {
             r.to_csv()
-        } else if self.markdown {
+        } else if self.args.switch("--markdown") {
             r.to_markdown()
         } else {
             r.to_table()
         }
     }
-}
 
-/// Parses the [`CommonFlags`] out of a command line. Exits with status 2
-/// on a malformed `--threads` or a malformed store cap
-/// (`--store-cap-bytes` / `CONFLUENCE_STORE_CAP`) — bad knobs fail up
-/// front, before any workload is generated, instead of being silently
-/// replaced by defaults mid-run.
-pub fn parse_common(args: &[String]) -> CommonFlags {
-    store_cap_from_args(args); // exits 2 on a malformed cap
-    let threads = flag_value(args, "--threads", "an integer value", None).map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("error: --threads requires an integer value, got '{v}'");
-            std::process::exit(2);
-        })
-    });
-    CommonFlags {
-        quick: args.iter().any(|a| a == "--quick"),
-        csv: args.iter().any(|a| a == "--csv"),
-        markdown: args.iter().any(|a| a == "--markdown"),
-        threads,
+    /// Runs `jobs` and leaves every result readable from `engine`: on the
+    /// `--connect` daemon when one is named, returning its per-batch
+    /// accounting, in process otherwise. A daemon failure exits with
+    /// status 1 — there is no silent local fallback, because a
+    /// half-remote run would produce correct output while quietly not
+    /// testing what was asked.
+    pub fn run_jobs(&self, engine: &SimEngine, jobs: &[Job]) -> Option<BatchStats> {
+        let Some(sock) = self.connect() else {
+            engine.run(jobs);
+            return None;
+        };
+        match crate::daemon::submit_jobs(sock, engine, jobs) {
+            Ok(stats) => Some(stats),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+
+    /// Applies the requested store cap (if any) after a batch: evicts
+    /// oldest-written entries until the store fits, reporting what went.
+    /// Runs after the batch — never between jobs — so a capped store
+    /// still serves every intra-run hit and only sheds history it can
+    /// re-derive.
+    pub fn run_store_gc(&self, engine: &SimEngine) {
+        let (Some(store), Some(cap)) = (engine.store(), self.store_cap) else {
+            return;
+        };
+        let gc = store.evict_to_cap(cap);
+        if gc.evicted_entries > 0 {
+            eprintln!(
+                "store gc: evicted {} entries ({} bytes) to fit the {} byte cap",
+                gc.evicted_entries, gc.evicted_bytes, cap
+            );
+        }
+    }
+
+    /// The whole main of a multi-report binary: build the engine, run
+    /// the batch `jobs` builds (in process or on the `--connect` daemon,
+    /// see [`Cli::run_jobs`]), print every report `reports` formats from
+    /// the warm cache, apply the store cap and print the cache summary.
+    /// `context` names the batch in the announcement ("across figures",
+    /// "across 6 studies", ...).
+    ///
+    /// Asserts the engine's headline contract — every unique simulation
+    /// ran exactly once or came from the persistent store — and that
+    /// formatting was pure cache reads. With `--compare-serial`, the
+    /// batch then re-runs serially (see `compare_serial`).
+    pub fn run_reports(
+        mut self,
+        context: &str,
+        jobs: impl FnOnce(&SimEngine, &ExperimentConfig) -> Vec<Job>,
+        reports: impl Fn(&SimEngine, &ExperimentConfig) -> Vec<Report>,
+    ) {
+        let engine = self.engine();
+        let jobs = jobs(&engine, &self.cfg);
+        let unique = unique_jobs(&jobs);
+        let batch = format!(
+            "{unique} unique simulations ({} requested {context})",
+            jobs.len()
+        );
+        match self.connect() {
+            Some(sock) => eprintln!("submitting {batch} to the daemon at {}...", sock.display()),
+            None => eprintln!("running {batch} on {} thread(s)...", engine.threads()),
+        }
+        let start = Instant::now();
+        let daemon = self.run_jobs(&engine, &jobs);
+        let elapsed = start.elapsed();
+        let stats = engine.stats();
+        let (label, shown) = match &daemon {
+            Some(d) => ("daemon", daemon_stats(d)),
+            None => {
+                assert_eq!(
+                    stats.executed + stats.disk_hits,
+                    unique as u64,
+                    "each unique simulation must be executed once or served from the store"
+                );
+                ("engine", stats)
+            }
+        };
+        eprintln!(
+            "{label}: executed {} simulations in {elapsed:.2?} ({} requests, {} memory hits, \
+             {} disk hits)",
+            shown.executed, shown.requests, shown.hits, shown.disk_hits
+        );
+
+        let render = |engine: &SimEngine| -> Vec<String> {
+            reports(engine, &self.cfg)
+                .iter()
+                .map(|r| self.render(r))
+                .collect()
+        };
+        let rendered = render(&engine);
+        for out in &rendered {
+            println!("{out}");
+        }
+        let after = engine.stats();
+        assert_eq!(
+            (after.executed, after.disk_hits),
+            (stats.executed, stats.disk_hits),
+            "formatting must be pure cache hits"
+        );
+        self.run_store_gc(&engine);
+        match &daemon {
+            Some(d) => eprintln!("{}", daemon_cache_summary(d)),
+            None => eprintln!("{}", cache_summary(&engine)),
+        }
+        if self.args.switch(COMPARE_SERIAL.name) {
+            compare_serial(&engine, &jobs, elapsed, &rendered, render);
+        }
     }
 }
 
-/// The whole main of a single-figure binary: parse the shared flags
-/// ([`CommonFlags`] plus the store options), build the engine, render
-/// the figure produced by `figure`, and print the cache summary to
-/// stderr. The nine `figN`-style binaries differ only in the formatter
-/// they pass.
+/// The whole main of a single-figure binary: parse the shared flags,
+/// build the engine, print the figure `figure` formats, and print the
+/// cache summary to stderr. The nine `figN`-style binaries differ only
+/// in the formatter they pass.
 pub fn run_figure(figure: fn(&SimEngine, &ExperimentConfig) -> Report) {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args
-        .first()
-        .map(|p| {
-            std::path::Path::new(p)
-                .file_name()
-                .map(|f| f.to_string_lossy().into_owned())
-                .unwrap_or_else(|| p.clone())
-        })
-        .unwrap_or_else(|| "figure".to_string());
-    reject_unknown_args(
-        &args,
-        COMMON_SWITCHES,
-        COMMON_VALUE_FLAGS,
-        &format!("{name} {FIGURE_USAGE_TAIL}"),
-    );
-    let flags = parse_common(&args);
-    let cfg = flags.config();
-    let mut engine = cfg.engine().with_exec_mode(exec_mode_from_args(&args));
-    if let Some(n) = flags.threads {
-        engine = engine.with_threads(n);
-    }
-    let engine = attach_store(engine, &args);
-    println!("{}", flags.render(&figure(&engine, &cfg)));
-    run_store_gc(&engine, &args);
+    let mut cli = parse(&[OUTPUT_FLAGS, ENGINE_FLAGS]);
+    let engine = cli.engine();
+    println!("{}", cli.render(&figure(&engine, &cli.cfg)));
+    cli.run_store_gc(&engine);
     eprintln!("{}", cache_summary(&engine));
 }
 
-/// Accounting from one [`run_batch`] pass, consumed by [`finish_batch`]
-/// (purity baseline) and [`compare_serial`] (timed reference).
-pub struct BatchRun {
-    /// Engine accounting right after the batch returned.
-    pub stats: EngineStats,
-    /// Wall-clock time of the batch.
-    pub elapsed: Duration,
-    /// Distinct job keys in the batch.
-    pub unique: usize,
-    /// The daemon's per-batch accounting, when the batch ran over
-    /// `--connect` instead of in process. [`finish_batch`] renders the
-    /// cache summary from this instead of the (execution-free) local
-    /// engine counters.
-    pub daemon: Option<confluence_serve::BatchStats>,
-}
-
-/// The batch-run half of a multi-report binary's main: announce the
-/// batch, execute it on the engine's pool, and assert the engine's
-/// headline contract — every unique simulation ran exactly once or came
-/// from the persistent store. The `context` string names the batch in
-/// the announcement ("across figures", "across 6 studies", ...).
-pub fn run_batch(engine: &SimEngine, jobs: &[Job], context: &str) -> BatchRun {
-    let unique = unique_jobs(jobs);
-    eprintln!(
-        "running {} unique simulations ({} requested {context}) on {} thread(s)...",
-        unique,
-        jobs.len(),
-        engine.threads()
-    );
-    let start = Instant::now();
-    engine.run(jobs);
-    let elapsed = start.elapsed();
-    let stats = engine.stats();
-    assert_eq!(
-        stats.executed + stats.disk_hits,
-        unique as u64,
-        "each unique simulation must be executed once or served from the store"
-    );
-    eprintln!(
-        "engine: executed {} simulations in {:.2?} ({} requests, {} memory hits, {} disk hits)",
-        stats.executed, elapsed, stats.requests, stats.hits, stats.disk_hits
-    );
-    BatchRun {
-        stats,
-        elapsed,
-        unique,
-        daemon: None,
-    }
-}
-
-/// Routes one batch by command line: [`run_batch_connected`] when
-/// `--connect` (or `CONFLUENCE_CONNECT`) names a daemon socket,
-/// [`run_batch`] in process otherwise. The batch binaries call this so
-/// the daemon mode threads through every one of them identically.
-pub fn dispatch_batch(
-    engine: &SimEngine,
-    jobs: &[Job],
-    context: &str,
-    args: &[String],
-) -> BatchRun {
-    match connect_from_args(args) {
-        Some(sock) => run_batch_connected(engine, jobs, context, &sock),
-        None => run_batch(engine, jobs, context),
-    }
-}
-
-/// The `--connect` counterpart of [`run_batch`]: submit the jobs to the
-/// daemon at `sock`, seed every result into the local engine's cache
-/// (so the caller's formatters are pure local reads, and stdout is
-/// byte-identical to an in-process run), and report the daemon's
-/// per-batch accounting. Exits with status 1 on any daemon failure —
-/// there is no silent local fallback, because a half-remote run would
-/// produce correct output while quietly not testing what was asked.
-pub fn run_batch_connected(
-    engine: &SimEngine,
-    jobs: &[Job],
-    context: &str,
-    sock: &std::path::Path,
-) -> BatchRun {
-    let unique = unique_jobs(jobs);
-    eprintln!(
-        "submitting {} unique simulations ({} requested {context}) to the daemon at {}...",
-        unique,
-        jobs.len(),
-        sock.display()
-    );
-    let start = Instant::now();
-    let stats = match crate::daemon::submit_jobs(sock, engine, jobs) {
-        Ok(stats) => stats,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let elapsed = start.elapsed();
-    eprintln!(
-        "daemon: executed {} simulations in {:.2?} ({} requests, {} memory hits, {} disk hits)",
-        stats.executed, elapsed, stats.requests, stats.hits, stats.disk_hits
-    );
-    BatchRun {
-        stats: engine.stats(),
-        elapsed,
-        unique,
-        daemon: Some(stats),
-    }
-}
-
-/// The rendering half: print every report in the selected format, assert
-/// that formatting was pure cache reads (no re-simulation), apply the
-/// requested store GC, and print the cache summary. Returns the rendered
-/// reports so `--compare-serial` can diff them against a reference run.
-pub fn finish_batch(
-    engine: &SimEngine,
-    flags: &CommonFlags,
-    run: &BatchRun,
-    reports: &[Report],
-    args: &[String],
-) -> Vec<String> {
-    let rendered: Vec<String> = reports.iter().map(|r| flags.render(r)).collect();
-    for out in &rendered {
-        println!("{out}");
-    }
-    let final_stats = engine.stats();
-    assert_eq!(
-        (final_stats.executed, final_stats.disk_hits),
-        (run.stats.executed, run.stats.disk_hits),
-        "formatting must be pure cache hits"
-    );
-    run_store_gc(engine, args);
-    match &run.daemon {
-        Some(stats) => eprintln!("{}", daemon_cache_summary(stats)),
-        None => eprintln!("{}", cache_summary(engine)),
-    }
-    rendered
-}
-
-/// The `--compare-serial` tail of a multi-report binary: re-run the same
+/// The `--compare-serial` tail of [`Cli::run_reports`]: re-run the same
 /// batch on a fresh single-threaded engine (sharing the `Arc`'d
-/// programs, never the cache), assert its rendering is **byte-identical**
-/// to the parallel run's, and report the speedup — the validation hook
-/// for both job-grain parallelism and the core-grain two-phase tick.
+/// programs, never the cache), assert its rendering is
+/// **byte-identical** to the parallel run's, and report the speedup —
+/// the validation hook for job-grain parallelism.
 ///
 /// Skipped with an explanation when a store is attached: warm, the timed
 /// run measured disk reads; cold, it paid store writes the reference
 /// would not — either way the wall-clocks would not compare simulation
-/// against simulation.
-pub fn compare_serial(
+/// against simulation. (`--connect` is refused with `--compare-serial`
+/// by [`parse`] for the same reason.)
+fn compare_serial(
     engine: &SimEngine,
-    flags: &CommonFlags,
     jobs: &[Job],
-    run: &BatchRun,
+    parallel: Duration,
     parallel_rendering: &[String],
-    render: impl Fn(&SimEngine) -> Vec<Report>,
+    render: impl Fn(&SimEngine) -> Vec<String>,
 ) {
     if engine.store().is_some() {
         eprintln!(
             "skipping serial comparison: a result store was attached to the timed \
              run ({} jobs served from disk), so wall-clocks are not comparable \
              (re-run with --no-store to compare)",
-            run.stats.disk_hits
+            engine.stats().disk_hits
         );
         return;
     }
@@ -617,14 +626,13 @@ pub fn compare_serial(
         .with_exec_mode(engine.exec_mode());
     let start = Instant::now();
     reference.run(jobs);
-    let serial_elapsed = start.elapsed();
+    let serial = start.elapsed();
     assert_eq!(
         reference.stats().executed,
-        run.unique as u64,
+        unique_jobs(jobs) as u64,
         "the serial reference must actually simulate every unique job"
     );
-    let serial_rendering: Vec<String> =
-        render(&reference).iter().map(|r| flags.render(r)).collect();
+    let serial_rendering = render(&reference);
     assert_eq!(
         serial_rendering, parallel_rendering,
         "serial and parallel runs must render identical reports"
@@ -634,12 +642,23 @@ pub fn compare_serial(
         serial_rendering.len()
     );
     eprintln!(
-        "serial: {:.2?}; parallel: {:.2?}; speedup {:.2}x on {} threads",
-        serial_elapsed,
-        run.elapsed,
-        serial_elapsed.as_secs_f64() / run.elapsed.as_secs_f64(),
+        "serial: {serial:.2?}; parallel: {parallel:.2?}; speedup {:.2}x on {} threads",
+        serial.as_secs_f64() / parallel.as_secs_f64(),
         engine.threads()
     );
+}
+
+/// A daemon's per-batch counters in the engine's own shape.
+fn daemon_stats(stats: &BatchStats) -> EngineStats {
+    EngineStats {
+        requests: stats.requests,
+        executed: stats.executed,
+        hits: stats.hits,
+        disk_hits: stats.disk_hits,
+        remote_hits: stats.remote_hits,
+        remote_round_trips: stats.remote_round_trips,
+        remote_bytes: stats.remote_bytes,
+    }
 }
 
 /// One-line cache accounting for a finished run, printed to stderr by
@@ -677,23 +696,14 @@ pub fn cache_summary(engine: &SimEngine) -> String {
 /// stats instead of a local engine — so a `--connect` run's stderr
 /// carries the identical audit trail. The `daemon cache:` prefix marks
 /// whose counters these are.
-pub fn daemon_cache_summary(stats: &confluence_serve::BatchStats) -> String {
+pub fn daemon_cache_summary(stats: &BatchStats) -> String {
     let store = match &stats.store {
         Some(l) => store_segment(&l.root, l.schema, l.entries, l.bytes),
         None => "store disabled".to_string(),
     };
-    let engine_stats = EngineStats {
-        requests: stats.requests,
-        executed: stats.executed,
-        hits: stats.hits,
-        disk_hits: stats.disk_hits,
-        remote_hits: stats.remote_hits,
-        remote_round_trips: stats.remote_round_trips,
-        remote_bytes: stats.remote_bytes,
-    };
     summary_line(
         "daemon cache",
-        &engine_stats,
+        &daemon_stats(stats),
         &store,
         stats.memo_replayed,
         stats.memo_recorded,
@@ -742,8 +752,40 @@ fn summary_line(
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    /// The figure binaries' flags.
+    fn figure_flags() -> Vec<Flag> {
+        [OUTPUT_FLAGS, ENGINE_FLAGS].concat()
+    }
+
+    /// Scans `list` behind a binary-path slot, with `env` as the whole
+    /// environment.
+    fn scan_with(list: &[&str], flags: &[Flag], env: &[(&str, &str)]) -> Result<Args, ArgError> {
+        let mut argv = vec!["target/debug/fig1".to_string()];
+        argv.extend(list.iter().map(|s| s.to_string()));
+        scan(&argv, flags, |var| {
+            env.iter()
+                .find(|(k, _)| *k == var)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    /// A well-formed figure command line, scanned with no environment.
+    fn args(list: &[&str]) -> Args {
+        scan_with(list, &figure_flags(), &[]).expect("well-formed command line")
+    }
+
+    /// The same, checked.
+    fn checked(list: &[&str]) -> Cli {
+        Cli::check(args(list)).expect("consistent command line")
+    }
+
+    /// The arguments `scan` reports as unrecognized (none when it
+    /// accepts the line or refuses it for another reason).
+    fn unrecognized(list: &[&str], flags: &[Flag]) -> Vec<String> {
+        match scan_with(list, flags, &[]) {
+            Err(ArgError::Unrecognized(args)) => args,
+            _ => Vec::new(),
+        }
     }
 
     #[test]
@@ -779,32 +821,32 @@ mod tests {
     }
 
     #[test]
-    fn common_flags_parse() {
-        let flags = parse_common(&args(&["--quick", "--csv", "--threads", "3"]));
-        assert!(flags.quick && flags.csv && !flags.markdown);
-        assert_eq!(flags.threads, Some(3));
+    fn engine_flags_parse() {
+        let cli = checked(&["--quick", "--csv", "--threads", "3"]);
+        assert!(cli.args.switch("--quick") && cli.args.switch("--csv"));
+        assert!(!cli.args.switch("--markdown"));
+        assert_eq!(cli.threads, Some(3));
         // The shared flag parser accepts the `=` spelling everywhere.
-        assert_eq!(parse_common(&args(&["--threads=5"])).threads, Some(5));
-        assert!(flags.config().quick);
-        let defaults = parse_common(&args(&[]));
-        assert!(!defaults.quick && !defaults.csv && !defaults.markdown);
+        assert_eq!(checked(&["--threads=5"]).threads, Some(5));
+        assert!(cli.cfg.quick);
+        let defaults = checked(&[]);
+        assert!(!defaults.args.switch("--quick") && !defaults.args.switch("--csv"));
+        assert!(!defaults.args.switch("--markdown"));
         assert_eq!(defaults.threads, None);
-        assert!(!defaults.config().quick);
+        assert!(!defaults.cfg.quick);
     }
 
     #[test]
     fn store_cap_parses_both_spellings() {
         assert_eq!(
-            store_cap_from_args(&args(&["--store-cap-bytes", "4096"])),
+            checked(&["--store-cap-bytes", "4096"]).store_cap,
             Some(4096)
         );
         assert_eq!(
-            store_cap_from_args(&args(&["--store-cap-bytes=123456"])),
+            checked(&["--store-cap-bytes=123456"]).store_cap,
             Some(123456)
         );
-        if std::env::var_os(STORE_CAP_ENV).is_none() {
-            assert_eq!(store_cap_from_args(&args(&["--quick"])), None);
-        }
+        assert_eq!(checked(&["--quick"]).store_cap, None);
     }
 
     #[test]
@@ -836,13 +878,8 @@ mod tests {
     }
 
     #[test]
-    fn unknown_args_catches_typos_and_strays() {
-        let check = |list: &[&str]| -> Vec<String> {
-            // Prepend the binary-path slot the real args vector has.
-            let mut full = vec!["target/debug/fig1".to_string()];
-            full.extend(list.iter().map(|s| s.to_string()));
-            find_unknown_args(&full, COMMON_SWITCHES, COMMON_VALUE_FLAGS)
-        };
+    fn scan_catches_typos_and_strays() {
+        let check = |list: &[&str]| unrecognized(list, &figure_flags());
         // A typo'd switch is flagged; so is a bare positional word.
         assert_eq!(check(&["--qiuck"]), vec!["--qiuck"]);
         assert_eq!(check(&["--quick", "extra"]), vec!["extra"]);
@@ -856,37 +893,108 @@ mod tests {
     }
 
     #[test]
-    fn unknown_args_accepts_well_formed_lines() {
-        let check = |list: &[&str]| -> Vec<String> {
-            let mut full = vec!["target/debug/fig1".to_string()];
-            full.extend(list.iter().map(|s| s.to_string()));
-            find_unknown_args(&full, COMMON_SWITCHES, COMMON_VALUE_FLAGS)
-        };
+    fn scan_accepts_well_formed_lines() {
+        let check = |list: &[&str]| unrecognized(list, &figure_flags());
         assert!(check(&[]).is_empty());
         assert!(check(&["--quick", "--csv"]).is_empty());
         // Value flags consume their value in both spellings.
         assert!(check(&["--threads", "3", "--store-dir", "/tmp/x"]).is_empty());
         assert!(check(&["--threads=3", "--store-dir=/tmp/x", "--quick"]).is_empty());
         assert!(check(&["--store-cap-bytes", "4096", "--no-store"]).is_empty());
-        // A value flag with a missing value is flag_value's case, not ours.
+        // A value flag with a missing value is its own error, not an
+        // unrecognized argument.
         assert!(check(&["--threads"]).is_empty());
         assert!(check(&["--threads", "--quick"]).is_empty());
         // Extra per-binary flags extend the tables.
-        let switches = [COMMON_SWITCHES, &["--list"]].concat();
-        let values = [COMMON_VALUE_FLAGS, &["--study"]].concat();
-        let mut full = vec!["sweeps".to_string()];
-        full.extend(
-            ["--list", "--study", "history", "--study=btb-capacity"]
-                .iter()
-                .map(|s| s.to_string()),
+        let sweeps = [&figure_flags()[..], &[LIST, STUDY]].concat();
+        assert!(unrecognized(
+            &["--list", "--study", "history", "--study=btb-capacity"],
+            &sweeps
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn missing_and_repeated_values_are_refused() {
+        let refusal = |list: &[&str], flags: &[Flag]| match scan_with(list, flags, &[]) {
+            Err(ArgError::Invalid(message)) => message,
+            other => panic!("{list:?} must be refused, got {other:?}"),
+        };
+        let figure = figure_flags();
+        for list in [
+            &["--threads"] as &[&str],
+            &["--threads", "--quick"],
+            &["--threads="],
+        ] {
+            assert_eq!(
+                refusal(list, &figure),
+                "--threads requires an integer value"
+            );
+        }
+        // One rule for every single-value flag, search's --seed included.
+        let search = [
+            &figure[..],
+            &[Flag::value("--seed", "N", "an integer value")],
+        ]
+        .concat();
+        for (list, flag) in [
+            (
+                &["--threads", "2", "--threads", "4"] as &[&str],
+                "--threads",
+            ),
+            (
+                &["--store-dir=/tmp/a", "--store-dir", "/tmp/b"],
+                "--store-dir",
+            ),
+            (&["--seed", "1", "--seed", "2"], "--seed"),
+        ] {
+            let message = format!("{flag} may be given only once");
+            assert_eq!(refusal(list, &search), message);
+        }
+        // A repeated switch changes nothing; a repeatable flag collects
+        // its values in order.
+        assert!(args(&["--quick", "--quick"]).switch("--quick"));
+        assert_eq!(
+            args(&["--peer", "/tmp/a", "--peer=/tmp/b"]).values("--peer"),
+            ["/tmp/a", "/tmp/b"]
         );
-        assert!(find_unknown_args(&full, &switches, &values).is_empty());
+    }
+
+    #[test]
+    fn environment_fallbacks_apply_only_when_the_flag_is_absent() {
+        let env = [(STORE_ENV, "/tmp/env"), (PEER_ENV, "/tmp/a, /tmp/b,,")];
+        let scanned = |list: &[&str]| scan_with(list, &figure_flags(), &env).unwrap();
+        assert_eq!(scanned(&[]).store_dir(), Some(PathBuf::from("/tmp/env")));
+        let flag = scanned(&["--store-dir", "/tmp/flag"]).store_dir();
+        assert_eq!(flag, Some(PathBuf::from("/tmp/flag")));
+        assert_eq!(scanned(&[]).values("--peer"), ["/tmp/a", "/tmp/b"]);
+        assert_eq!(scanned(&["--peer", "/tmp/c"]).values("--peer"), ["/tmp/c"]);
+    }
+
+    #[test]
+    fn an_unopenable_store_dir_is_refused() {
+        let file =
+            std::env::temp_dir().join(format!("confluence-cli-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"x").expect("temp dir writable");
+        let dir = file.join("store");
+        let err = Cli::check(args(&["--store-dir", dir.to_str().unwrap()])).err();
+        assert!(err.unwrap().starts_with("cannot open result store at"));
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn usage_lists_every_accepted_flag() {
+        assert_eq!(
+            usage(&["target/release/fig7".to_string()], &figure_flags()),
+            "fig7 [--csv] [--markdown] [--quick] [--threads N] [--store-dir DIR] [--no-store] \
+             [--store-cap-bytes N] [--peer SOCK]... [--peer-timeout-ms N] [--no-fastpath]"
+        );
     }
 
     #[test]
     fn no_store_wins_over_everything() {
         assert_eq!(
-            store_dir_from_args(&args(&["--store-dir", "/tmp/x", "--no-store"])),
+            args(&["--store-dir", "/tmp/x", "--no-store"]).store_dir(),
             None
         );
     }
@@ -894,7 +1002,7 @@ mod tests {
     #[test]
     fn explicit_dir_is_used() {
         assert_eq!(
-            store_dir_from_args(&args(&["--quick", "--store-dir", "/tmp/x"])),
+            args(&["--quick", "--store-dir", "/tmp/x"]).store_dir(),
             Some(PathBuf::from("/tmp/x"))
         );
     }
@@ -902,16 +1010,13 @@ mod tests {
     #[test]
     fn equals_form_is_supported() {
         assert_eq!(
-            store_dir_from_args(&args(&["--store-dir=/tmp/y"])),
+            args(&["--store-dir=/tmp/y"]).store_dir(),
             Some(PathBuf::from("/tmp/y"))
         );
     }
 
     #[test]
     fn absent_flags_and_env_mean_no_store() {
-        // The test runner never sets CONFLUENCE_STORE; guard anyway.
-        if std::env::var_os(STORE_ENV).is_none() {
-            assert_eq!(store_dir_from_args(&args(&["--quick"])), None);
-        }
+        assert_eq!(args(&["--quick"]).store_dir(), None);
     }
 }

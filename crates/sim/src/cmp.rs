@@ -60,7 +60,7 @@ impl Default for TimingConfig {
 }
 
 impl TimingConfig {
-    /// A reduced configuration for tests and Criterion benches: 4 cores,
+    /// A reduced configuration for tests and quick runs: 4 cores,
     /// short windows. Relative orderings are preserved; absolute numbers
     /// are noisier.
     pub fn quick() -> Self {

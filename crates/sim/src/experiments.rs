@@ -35,7 +35,7 @@ use confluence_core::AirBtbMode;
 /// Shared experiment configuration.
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
-    /// Reduced sizes for smoke tests and Criterion benches. Preserves
+    /// Reduced sizes for smoke tests and `--quick` runs. Preserves
     /// orderings; absolute numbers are noisier.
     pub quick: bool,
 }
@@ -143,11 +143,6 @@ impl ExperimentConfig {
             .into_iter()
             .map(|w| (w, self.workload_program(w)))
             .collect()
-    }
-
-    /// Builds an engine over this configuration's workloads.
-    pub fn engine(&self) -> SimEngine {
-        SimEngine::new(self.workloads())
     }
 }
 

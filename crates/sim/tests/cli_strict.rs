@@ -8,9 +8,16 @@
 //! they pin the end-to-end behaviour (argv → exit status → stderr), not
 //! just the parsing helper.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn run(exe: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
+    command(exe, args, env).output().expect("binary spawns")
+}
+
+fn command(exe: &str, args: &[&str], env: &[(&str, &str)]) -> Command {
     let mut cmd = Command::new(exe);
     cmd.args(args);
     // The suite's own store/connect env must not leak into the spawned
@@ -26,7 +33,7 @@ fn run(exe: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
     for (k, v) in env {
         cmd.env(k, v);
     }
-    cmd.output().expect("binary spawns")
+    cmd
 }
 
 /// Asserts the rejection contract: exit 2, named offender, usage line.
@@ -69,6 +76,12 @@ fn batch_binaries_reject_typoed_flags() {
         "--stduy",
     );
     assert_rejects(env!("CARGO_BIN_EXE_timing_figs"), &["--sreial"], "--sreial");
+    // `--threads 1` is the one spelling of a serial run.
+    assert_rejects(
+        env!("CARGO_BIN_EXE_all_experiments"),
+        &["--quick", "--serial"],
+        "--serial",
+    );
     // A removed flag is as unknown as a typo.
     assert_rejects(
         env!("CARGO_BIN_EXE_all_experiments"),
@@ -208,5 +221,92 @@ fn malformed_store_cap_env_exits_2() {
     assert!(
         stderr.contains("CONFLUENCE_STORE_CAP"),
         "stderr must name the variable: {stderr}"
+    );
+}
+
+#[test]
+fn argument_errors_come_before_workload_generation() {
+    // --peer needs a store to promote into. --compare-serial times a
+    // local serial run, so against a daemon it would time a simulation
+    // against a round trip: refused whether the socket comes from the
+    // flag or the environment, and without connecting.
+    let connect_env = [("CONFLUENCE_CONNECT", "/nonexistent.sock")];
+    for (args, env, named) in [
+        (
+            &["--quick", "--no-store", "--peer", "/tmp/x.sock"] as &[&str],
+            &[] as &[(&str, &str)],
+            &["--peer requires a persistent store"] as &[&str],
+        ),
+        (
+            &[
+                "--quick",
+                "--compare-serial",
+                "--connect",
+                "/nonexistent.sock",
+            ],
+            &[],
+            &["--compare-serial", "--connect"],
+        ),
+        (
+            &["--quick", "--compare-serial"],
+            &connect_env,
+            &["--compare-serial", "--connect"],
+        ),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_all_experiments"), args, env);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} {env:?}: {stderr}");
+        assert!(
+            named.iter().all(|n| stderr.contains(n)),
+            "{args:?} {env:?} must name {named:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("generating workloads"),
+            "{args:?} {env:?} must be refused before any workload: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn daemon_starts_when_the_client_connect_env_is_set() {
+    // The daemon declares no --connect, so the clients' CONFLUENCE_CONNECT
+    // exported in the same shell is not its business.
+    let sock = std::env::temp_dir().join(format!(
+        "confluence-cli-strict-daemon-{}.sock",
+        std::process::id()
+    ));
+    let mut child = command(
+        env!("CARGO_BIN_EXE_confluence-serve"),
+        &["--socket", sock.to_str().unwrap(), "--quick", "--no-store"],
+        &[("CONFLUENCE_CONNECT", "/nonexistent.sock")],
+    )
+    .stderr(Stdio::piped())
+    .spawn()
+    .expect("binary spawns");
+    let stderr = BufReader::new(child.stderr.take().expect("stderr is piped"));
+    let (tx, lines) = mpsc::channel();
+    std::thread::spawn(move || {
+        stderr
+            .lines()
+            .map_while(Result::ok)
+            .try_for_each(|l| tx.send(l))
+    });
+    // Watchdog: quick workloads generate in well under a second in a
+    // release build, and a debug build is slower but not this slow. The
+    // channel also ends if the daemon exits.
+    let mut seen = Vec::new();
+    let listening = loop {
+        match lines.recv_timeout(Duration::from_secs(300)) {
+            Ok(line) if line.contains("listening on") => break true,
+            Ok(line) => seen.push(line),
+            Err(_) => break false,
+        }
+    };
+    let _ = child.kill();
+    let status = child.wait();
+    let _ = std::fs::remove_file(&sock);
+    assert!(
+        listening,
+        "the daemon must listen with CONFLUENCE_CONNECT set (exit {status:?}): {seen:?}"
     );
 }
