@@ -59,7 +59,7 @@ fn main() {
         total_iterations += outcome.iterations;
     }
 
-    cli.run_store_gc(&engine);
+    engine.apply_store_cap(cli.store_cap);
     if cli.connect().is_some() {
         eprintln!(
             "search: daemon executed {daemon_executed} simulations across \
@@ -70,6 +70,9 @@ fn main() {
             "search: executed {} simulations across {total_iterations} search iterations",
             engine.stats().executed
         );
-        eprintln!("{}", cli::cache_summary(&engine));
+        eprintln!(
+            "{}",
+            cli::cache_summary("cache", &engine.stats(), engine.store())
+        );
     }
 }

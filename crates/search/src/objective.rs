@@ -16,7 +16,7 @@
 
 use confluence_area::{AreaModel, CORE_MM2};
 use confluence_btb::{BtbDesign, ConventionalBtb};
-use confluence_core::{AirBtb, AirBtbMode};
+use confluence_core::{AirBtb, AirBtbMode, DEFAULT_BUNDLES};
 use confluence_prefetch::ShiftHistory;
 use confluence_sim::experiments::ExperimentConfig;
 use confluence_sim::sweeps;
@@ -159,7 +159,10 @@ impl Study {
             StudyKind::BundlePerArea {
                 bundle_entries,
                 overflow,
-            } => format!("512x{}+{}", bundle_entries[point[0]], overflow[point[1]]),
+            } => format!(
+                "{DEFAULT_BUNDLES}x{}+{}",
+                bundle_entries[point[0]], overflow[point[1]]
+            ),
         }
     }
 
@@ -203,7 +206,11 @@ impl Study {
                     overflow,
                 } => sweeps::geometry_job(
                     w,
-                    (512, bundle_entries[point[0]], overflow[point[1]]),
+                    (
+                        DEFAULT_BUNDLES,
+                        bundle_entries[point[0]],
+                        overflow[point[1]],
+                    ),
                     cfg,
                 )
                 .into(),
@@ -272,7 +279,11 @@ impl Study {
                 bundle_entries,
                 overflow,
             } => {
-                let geom = (512, bundle_entries[point[0]], overflow[point[1]]);
+                let geom = (
+                    DEFAULT_BUNDLES,
+                    bundle_entries[point[0]],
+                    overflow[point[1]],
+                );
                 let cov = mean(
                     workloads
                         .iter()

@@ -8,7 +8,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-use crate::protocol::{self, BatchStats, ErrorCode, Frame, RecvError, PROTO_VERSION};
+use crate::protocol::{self, EngineStats, ErrorCode, Frame, RecvError, PROTO_VERSION};
 
 /// Why a client operation failed.
 #[derive(Debug)]
@@ -66,7 +66,7 @@ pub struct BatchReply {
     /// Encoded job outputs, index-aligned with the submitted jobs.
     pub outputs: Vec<Vec<u8>>,
     /// The daemon-side batch accounting from `BatchDone`.
-    pub stats: BatchStats,
+    pub stats: EngineStats,
 }
 
 /// A connected, handshaken session with the daemon.

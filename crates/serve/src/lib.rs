@@ -11,7 +11,9 @@
 //! Three layers, lowest first:
 //!
 //! - [`protocol`] — the versioned frame vocabulary ([`Frame`],
-//!   [`BatchStats`], [`ErrorCode`]) encoded with the store's codec
+//!   [`ErrorCode`]) and the one stats record, [`EngineStats`], that an
+//!   engine keeps, a `BatchDone` carries and every binary's stderr
+//!   summary is rendered from; encoded with the store's codec
 //!   conventions and carried in the store's checksummed stream envelope
 //!   (`confluence_store::write_frame`). Job payloads are **opaque byte
 //!   strings** at this layer: the daemon and its clients agree on the
@@ -20,10 +22,11 @@
 //!   any simulator dependency — and the dependency DAG acyclic, since
 //!   `confluence_sim` links the client side into the figure binaries.
 //! - [`server`] — the accept loop and per-connection protocol driver,
-//!   generic over a [`BatchHost`]: the engine-owning side implements
-//!   five methods (validate a handshake, cost-rank a job, run a job,
-//!   snapshot/settle batch accounting) and gets multiplexing, streamed
-//!   results, and per-connection failure isolation for free.
+//!   generic over a [`BatchHost`]: the engine-owning side implements a
+//!   handful of methods (validate a handshake, cost-rank a job, run a
+//!   job, report its counters and settle a batch) and gets
+//!   multiplexing, streamed results, and per-connection failure
+//!   isolation for free.
 //! - [`client`] — the blocking client: handshake, submit a batch,
 //!   collect streamed results into submission order.
 //!
@@ -43,8 +46,6 @@ pub mod server;
 
 #[cfg(unix)]
 pub use client::{BatchReply, Client, ClientError};
-pub use protocol::{
-    BatchStats, ErrorCode, Frame, StoreLine, FETCH_HOP_LIMIT, MAX_FRAME_LEN, PROTO_VERSION,
-};
+pub use protocol::{EngineStats, ErrorCode, Frame, FETCH_HOP_LIMIT, MAX_FRAME_LEN, PROTO_VERSION};
 #[cfg(unix)]
-pub use server::{BatchHost, Rejection, Server, ServerHandle};
+pub use server::{BatchHost, Listener, Rejection, Server, ServerHandle};

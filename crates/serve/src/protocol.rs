@@ -13,9 +13,9 @@
 //! [`Frame::HelloAck`] or a typed [`Frame::Error`] and closes. Each
 //! [`Frame::SubmitBatch`] is answered by one [`Frame::JobResult`] per
 //! job — streamed in completion order, carrying the job's submission
-//! index — and a final [`Frame::BatchDone`] with the batch's cache
-//! accounting, so the client can render the same cache-summary line an
-//! in-process run prints. Any malformed or out-of-place frame gets a
+//! index — and a final [`Frame::BatchDone`] carrying the daemon engine's
+//! [`EngineStats`] over the batch, the same record an in-process run
+//! renders its cache summary from. Any malformed or out-of-place frame gets a
 //! typed [`Frame::Error`] and a clean close; corruption never panics
 //! the peer.
 //!
@@ -31,7 +31,7 @@ use confluence_store::{Decode, Encode, Reader, WireError};
 /// Version of the frame protocol itself (envelope, tags, field orders).
 /// Bump on any wire-visible change; the server refuses mismatched
 /// clients with [`ErrorCode::ProtoMismatch`] instead of misparsing.
-pub const PROTO_VERSION: u32 = 2;
+pub const PROTO_VERSION: u32 = 3;
 
 /// Upper bound on peer-forwarding depth for the remote warm tier. A
 /// fetch request carries a `ttl`; a daemon holding a miss consults its
@@ -97,146 +97,79 @@ impl ErrorCode {
     }
 }
 
-/// One line of the daemon's persistent-store accounting, carried in
-/// [`BatchStats`] so clients can render the store segment of the
-/// cache-summary line without filesystem access to the daemon's store.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StoreLine {
-    /// The store's versioned root directory, as the daemon sees it.
-    pub root: String,
-    /// Schema version the store was opened with.
-    pub schema: u32,
-    /// Committed result entries on disk.
-    pub entries: u64,
-    /// Their total bytes.
-    pub bytes: u64,
-}
-
-impl Encode for StoreLine {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.root.encode(out);
-        self.schema.encode(out);
-        self.entries.encode(out);
-        self.bytes.encode(out);
-    }
-}
-
-impl Decode for StoreLine {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(StoreLine {
-            root: Decode::decode(r)?,
-            schema: Decode::decode(r)?,
-            entries: Decode::decode(r)?,
-            bytes: Decode::decode(r)?,
-        })
-    }
-}
-
-/// Cache accounting for one served batch, carried by
-/// [`Frame::BatchDone`]. Request/hit/memo counters are **deltas over
-/// the batch** (so a warm batch reports `executed: 0`, exactly what CI
-/// greps); the memo
-/// table/step figures and the store line are absolutes — bank and disk
-/// occupancy at batch end. The deltas are windows over the daemon's
-/// shared counters: exact for sequential batches, while overlapping
-/// batches each see whatever executions landed during their window —
-/// the daemon's own totals stay exactly-once either way.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Job requests this batch made against the engine.
+/// The engine's cache accounting: how many job requests it served and
+/// which tier answered each unique job. An engine's lifetime counters
+/// and one batch's share of them ([`EngineStats::since`], carried by
+/// [`Frame::BatchDone`]) are the same record, so the stderr summary an
+/// in-process run prints and the one a daemon client prints are
+/// rendered from the same fields.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Job requests served (executions, store loads and hits).
     pub requests: u64,
-    /// Unique jobs the batch actually simulated.
+    /// Unique jobs actually simulated.
     pub executed: u64,
-    /// Requests served from the in-memory cache (including waits on
-    /// another client's in-flight execution).
+    /// Requests served from the in-memory cache, including waits on
+    /// another request's in-flight execution of the same key.
     pub hits: u64,
     /// Unique jobs served from the persistent result store.
     pub disk_hits: u64,
-    /// Executor requests begun in replay mode (path-memo hits).
-    pub memo_replayed: u64,
-    /// Executor requests whose recording was newly finalized.
-    pub memo_recorded: u64,
-    /// Executor requests stepped live (cold paths).
-    pub memo_live: u64,
-    /// Memoized request paths in the banks at batch end (absolute).
-    pub memo_tables: u64,
-    /// Total memo steps in the bank arenas at batch end (absolute).
-    pub memo_steps: u64,
-    /// The daemon's store occupancy at batch end, if a store is
-    /// attached.
-    pub store: Option<StoreLine>,
-    /// Entries promoted from remote peers during the batch (delta).
+    /// Entries fetched from remote peers and promoted into the local
+    /// store. A promoted entry then serves as a `disk_hits` entry:
+    /// `remote_hits` counts where the bytes came from, not an extra
+    /// serving tier.
     pub remote_hits: u64,
-    /// Batched fetch exchanges with peers during the batch (delta) —
-    /// the figure the one-round-trip-per-batch contract is asserted on.
+    /// Completed batched fetch exchanges with peers (at most one per
+    /// consulted peer per batch) — the figure the
+    /// one-round-trip-per-batch contract is asserted on.
     pub remote_round_trips: u64,
-    /// Raw entry bytes fetched from peers during the batch (delta).
+    /// Raw entry bytes received from peers (verified or not).
     pub remote_bytes: u64,
 }
 
-impl Encode for BatchStats {
+impl EngineStats {
+    /// The counts added since `before` was taken. Saturating: batches
+    /// that overlap on one daemon race its shared counters, so each
+    /// batch's window sees whatever landed during it, and a delta never
+    /// underflows.
+    pub fn since(&self, before: &EngineStats) -> EngineStats {
+        EngineStats {
+            requests: self.requests.saturating_sub(before.requests),
+            executed: self.executed.saturating_sub(before.executed),
+            hits: self.hits.saturating_sub(before.hits),
+            disk_hits: self.disk_hits.saturating_sub(before.disk_hits),
+            remote_hits: self.remote_hits.saturating_sub(before.remote_hits),
+            remote_round_trips: self
+                .remote_round_trips
+                .saturating_sub(before.remote_round_trips),
+            remote_bytes: self.remote_bytes.saturating_sub(before.remote_bytes),
+        }
+    }
+}
+
+impl Encode for EngineStats {
     fn encode(&self, out: &mut Vec<u8>) {
         self.requests.encode(out);
         self.executed.encode(out);
         self.hits.encode(out);
         self.disk_hits.encode(out);
-        self.memo_replayed.encode(out);
-        self.memo_recorded.encode(out);
-        self.memo_live.encode(out);
-        self.memo_tables.encode(out);
-        self.memo_steps.encode(out);
-        match &self.store {
-            None => out.push(0),
-            Some(line) => {
-                out.push(1);
-                line.encode(out);
-            }
-        }
-        // Remote-tier counters ride a default-invisible tail extension:
-        // a batch with no remote traffic encodes without them.
-        if self.remote_hits != 0 || self.remote_round_trips != 0 || self.remote_bytes != 0 {
-            self.remote_hits.encode(out);
-            self.remote_round_trips.encode(out);
-            self.remote_bytes.encode(out);
-        }
+        self.remote_hits.encode(out);
+        self.remote_round_trips.encode(out);
+        self.remote_bytes.encode(out);
     }
 }
 
-impl Decode for BatchStats {
+impl Decode for EngineStats {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut stats = BatchStats {
+        Ok(EngineStats {
             requests: Decode::decode(r)?,
             executed: Decode::decode(r)?,
             hits: Decode::decode(r)?,
             disk_hits: Decode::decode(r)?,
-            memo_replayed: Decode::decode(r)?,
-            memo_recorded: Decode::decode(r)?,
-            memo_live: Decode::decode(r)?,
-            memo_tables: Decode::decode(r)?,
-            memo_steps: Decode::decode(r)?,
-            store: None,
-            remote_hits: 0,
-            remote_round_trips: 0,
-            remote_bytes: 0,
-        };
-        let offset = r.offset();
-        match r.u8()? {
-            0 => {}
-            1 => stats.store = Some(Decode::decode(r)?),
-            _ => {
-                return Err(WireError {
-                    offset,
-                    reason: "invalid store-line presence byte",
-                })
-            }
-        }
-        // Tail extension: absent on remote-quiet batches.
-        if !r.is_empty() {
-            stats.remote_hits = Decode::decode(r)?;
-            stats.remote_round_trips = Decode::decode(r)?;
-            stats.remote_bytes = Decode::decode(r)?;
-        }
-        Ok(stats)
+            remote_hits: Decode::decode(r)?,
+            remote_round_trips: Decode::decode(r)?,
+            remote_bytes: Decode::decode(r)?,
+        })
     }
 }
 
@@ -285,8 +218,8 @@ pub enum Frame {
     BatchDone {
         /// The submitting [`Frame::SubmitBatch`]'s identifier.
         batch_id: u64,
-        /// Cache accounting for the batch.
-        stats: BatchStats,
+        /// The daemon engine's counters over the batch's window.
+        stats: EngineStats,
     },
     /// Either direction: a typed failure. The sender closes the
     /// connection after this frame.
@@ -541,24 +474,12 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    fn sample_stats() -> BatchStats {
-        BatchStats {
+    fn sample_stats() -> EngineStats {
+        EngineStats {
             requests: 390,
             executed: 230,
             hits: 160,
-            disk_hits: 0,
-            memo_replayed: 7,
-            memo_recorded: 21,
-            memo_live: 3,
-            memo_tables: 21,
-            memo_steps: 6000,
-            store: Some(StoreLine {
-                root: "/srv/store/v1".to_string(),
-                schema: 1,
-                entries: 230,
-                bytes: 41000,
-            }),
-            ..BatchStats::default()
+            ..EngineStats::default()
         }
     }
 
@@ -587,7 +508,7 @@ mod tests {
             },
             Frame::BatchDone {
                 batch_id: 0,
-                stats: BatchStats::default(),
+                stats: EngineStats::default(),
             },
             Frame::Error {
                 code: ErrorCode::SchemaMismatch,
@@ -595,7 +516,7 @@ mod tests {
             },
             Frame::BatchDone {
                 batch_id: 3,
-                stats: BatchStats {
+                stats: EngineStats {
                     remote_hits: 12,
                     remote_round_trips: 1,
                     remote_bytes: 2200,
@@ -636,23 +557,23 @@ mod tests {
     }
 
     /// Golden bytes: pins frame tags, field orders, and integer
-    /// encodings of protocol v2. If this fails, the wire format changed
+    /// encodings of protocol v3. If this fails, the wire format changed
     /// — bump [`PROTO_VERSION`] and update the expectation.
     #[test]
-    fn golden_bytes_pin_protocol_v2() {
-        assert_eq!(PROTO_VERSION, 2);
+    fn golden_bytes_pin_protocol_v3() {
+        assert_eq!(PROTO_VERSION, 3);
         let hello = Frame::Hello {
-            proto: 2,
+            proto: 3,
             schema: 1,
             fingerprint: 0x0123_4567_89AB_CDEF,
         };
-        assert_eq!(hex(&hello.to_bytes()), "000201ef9bafcdf8acd19101");
+        assert_eq!(hex(&hello.to_bytes()), "000301ef9bafcdf8acd19101");
 
         let ack = Frame::HelloAck {
-            proto: 2,
+            proto: 3,
             schema: 1,
         };
-        assert_eq!(hex(&ack.to_bytes()), "010201");
+        assert_eq!(hex(&ack.to_bytes()), "010301");
 
         let submit = Frame::SubmitBatch {
             batch_id: 300,
@@ -666,41 +587,22 @@ mod tests {
         };
         assert_eq!(hex(&result.to_bytes()), "030503112233");
 
+        // The seven counters are plain fields in declaration order.
         let done = Frame::BatchDone {
             batch_id: 1,
-            stats: BatchStats {
+            stats: EngineStats {
                 requests: 2,
                 executed: 1,
                 hits: 1,
                 disk_hits: 0,
-                memo_replayed: 0,
-                memo_recorded: 128,
-                memo_live: 0,
-                memo_tables: 128,
-                memo_steps: 1000,
-                store: None,
-                ..BatchStats::default()
-            },
-        };
-        assert_eq!(hex(&done.to_bytes()), "040102010100008001008001e80700");
-
-        let stored = Frame::BatchDone {
-            batch_id: 2,
-            stats: BatchStats {
-                requests: 1,
-                disk_hits: 1,
-                store: Some(StoreLine {
-                    root: "/s".to_string(),
-                    schema: 1,
-                    entries: 3,
-                    bytes: 200,
-                }),
-                ..BatchStats::default()
+                remote_hits: 2,
+                remote_round_trips: 1,
+                remote_bytes: 300,
             },
         };
         assert_eq!(
-            hex(&stored.to_bytes()),
-            "0402 01000001 0000000000 01 022f73 01 03 c801".replace(' ', "")
+            hex(&done.to_bytes()),
+            "0401 02010100 0201ac02".replace(' ', "")
         );
 
         let err = Frame::Error {
@@ -711,9 +613,7 @@ mod tests {
     }
 
     /// Golden bytes for the remote-warm-tier fetch frames (tags 6, 8 and
-    /// 9) and the remote-counter tail of [`BatchStats`]. The tail is
-    /// default-invisible: a remote-quiet stats block encodes exactly the
-    /// bytes pinned above, so these pins are additive.
+    /// 9).
     #[test]
     fn golden_bytes_pin_fetch_frames() {
         let fetch = Frame::FetchResults {
@@ -730,46 +630,30 @@ mod tests {
 
         let done = Frame::FetchDone { hits: 2, misses: 1 };
         assert_eq!(hex(&done.to_bytes()), "090201");
-
-        let stats = BatchStats {
-            requests: 2,
-            disk_hits: 2,
-            remote_hits: 2,
-            remote_round_trips: 1,
-            remote_bytes: 300,
-            ..BatchStats::default()
-        };
-        assert_eq!(
-            hex(&stats.to_bytes()),
-            "0200000200000000000002 01 ac02".replace(' ', "")
-        );
     }
 
-    /// A remote-quiet [`BatchStats`] must encode without the tail — the
-    /// default-invisible half of the tail-extension contract — and a
-    /// stats block without the tail must decode with zeroed remote
-    /// counters.
     #[test]
-    fn remote_counter_tail_is_default_invisible() {
-        let quiet = sample_stats();
-        let bytes = quiet.to_bytes();
-        let extended = BatchStats {
-            remote_hits: 7,
-            remote_round_trips: 2,
+    fn since_is_a_saturating_delta() {
+        let before = EngineStats {
+            requests: 10,
+            executed: 4,
             remote_bytes: 900,
-            ..sample_stats()
+            ..EngineStats::default()
+        };
+        let after = EngineStats {
+            requests: 25,
+            executed: 4,
+            hits: 11,
+            remote_bytes: 100,
+            ..EngineStats::default()
         };
         assert_eq!(
-            &extended.to_bytes()[..bytes.len()],
-            &bytes[..],
-            "the tail must extend, not reshape, the quiet encoding"
-        );
-        let decoded = BatchStats::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, quiet);
-        assert_eq!(decoded.remote_hits, 0);
-        assert_eq!(
-            BatchStats::from_bytes(&extended.to_bytes()).unwrap(),
-            extended
+            after.since(&before),
+            EngineStats {
+                requests: 15,
+                hits: 11,
+                ..EngineStats::default()
+            }
         );
     }
 
@@ -830,12 +714,6 @@ mod tests {
         assert_eq!(
             Frame::from_bytes(&[5, 99, 0]).unwrap_err().reason,
             "unknown error-code tag"
-        );
-        assert_eq!(
-            BatchStats::from_bytes(&[0, 0, 0, 0, 0, 0, 0, 0, 0, 7])
-                .unwrap_err()
-                .reason,
-            "invalid store-line presence byte"
         );
     }
 

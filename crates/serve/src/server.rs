@@ -1,10 +1,15 @@
 //! The accept loop and per-connection protocol driver.
 //!
 //! The server owns nothing about simulation: it is generic over a
-//! [`BatchHost`], the engine-owning side of the daemon. The accept loop
-//! blocks in `accept` and gives each connection a thread of its own.
-//! For every connection it runs the handshake, then answers
-//! `SubmitBatch` frames by fanning the batch's jobs out over
+//! [`BatchHost`], the engine-owning side of the daemon, and knows only
+//! its job bytes and its [`EngineStats`] counters, whose delta over a
+//! batch the batch's `BatchDone` carries. A [`Listener`] binds the
+//! socket before the host exists, so a daemon refuses an unusable path
+//! before it builds its engine.
+//!
+//! The accept loop blocks in `accept` and gives each connection a
+//! thread of its own. For every connection it runs the handshake, then
+//! answers `SubmitBatch` frames by fanning the batch's jobs out over
 //! `host.threads()` worker threads (most-expensive-first by
 //! `host.cost_hint`, matching the engine's own scheduler) and streaming
 //! the `JobResult` frames back in completion order. A result leaves as
@@ -34,7 +39,7 @@ use std::thread;
 use std::time::Duration;
 
 use crate::protocol::{
-    self, BatchStats, ErrorCode, Frame, RecvError, FETCH_HOP_LIMIT, PROTO_VERSION,
+    self, EngineStats, ErrorCode, Frame, RecvError, FETCH_HOP_LIMIT, PROTO_VERSION,
 };
 
 /// How long [`ServerHandle::stop`] waits for the accept loop to exit
@@ -70,10 +75,6 @@ impl Rejection {
 /// server will call [`BatchHost::run_job`] for the same payload from
 /// several connections at once and expects the host to dedup in flight.
 pub trait BatchHost: Send + Sync + 'static {
-    /// Opaque pre-batch accounting snapshot; diffed by
-    /// [`BatchHost::finish_batch`] to produce per-batch deltas.
-    type Snapshot: Send;
-
     /// The host's job schema version, echoed in `HelloAck`.
     fn schema(&self) -> u32;
 
@@ -123,22 +124,31 @@ pub trait BatchHost: Send + Sync + 'static {
         vec![None; keys.len()]
     }
 
-    /// Captures accounting state before a batch begins.
-    fn snapshot(&self) -> Self::Snapshot;
+    /// The host's counters now. The server reads them before a batch
+    /// and hands them back to [`BatchHost::finish_batch`] after it. The
+    /// default, for a host that keeps no counters, is all zeros.
+    fn snapshot(&self) -> EngineStats {
+        EngineStats::default()
+    }
 
-    /// Settles a batch: computes delta stats against `before`, and
-    /// performs any end-of-batch maintenance (store GC).
-    fn finish_batch(&self, before: Self::Snapshot) -> BatchStats;
+    /// Settles a batch: runs any end-of-batch maintenance (store GC) and
+    /// returns the counts added since `before`, which the batch's
+    /// `BatchDone` carries. The default only takes the delta.
+    fn finish_batch(&self, before: EngineStats) -> EngineStats {
+        self.snapshot().since(&before)
+    }
 }
 
-/// A bound but not yet running server.
-pub struct Server<H: BatchHost> {
+/// A bound Unix-domain socket whose host is not built yet. Binding
+/// first lets a daemon refuse an unusable socket path before it pays for
+/// building its engine; connections that arrive meanwhile wait in the
+/// socket's backlog.
+pub struct Listener {
     listener: UnixListener,
-    host: Arc<H>,
     path: PathBuf,
 }
 
-impl<H: BatchHost> Server<H> {
+impl Listener {
     /// Binds a Unix-domain socket at `path`, replacing any stale socket
     /// file left by a previous run.
     ///
@@ -146,7 +156,7 @@ impl<H: BatchHost> Server<H> {
     ///
     /// Errors if the socket cannot be bound, and without touching it if
     /// `path` holds anything but a socket.
-    pub fn bind(path: impl AsRef<Path>, host: Arc<H>) -> io::Result<Self> {
+    pub fn bind(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         // A crashed daemon leaves its socket file behind; binding over
         // it needs the stale file gone. Only a socket is removed: a
@@ -169,11 +179,35 @@ impl<H: BatchHost> Server<H> {
             Err(e) => return Err(e),
         }
         let listener = UnixListener::bind(&path)?;
-        Ok(Server {
-            listener,
+        Ok(Listener { listener, path })
+    }
+
+    /// The server that answers this socket's connections with `host`.
+    pub fn serve<H: BatchHost>(self, host: Arc<H>) -> Server<H> {
+        Server {
+            listener: self.listener,
             host,
-            path,
-        })
+            path: self.path,
+        }
+    }
+}
+
+/// A bound but not yet running server.
+pub struct Server<H: BatchHost> {
+    listener: UnixListener,
+    host: Arc<H>,
+    path: PathBuf,
+}
+
+impl<H: BatchHost> Server<H> {
+    /// Binds a Unix-domain socket at `path` for `host`: [`Listener::bind`]
+    /// then [`Listener::serve`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Listener::bind`].
+    pub fn bind(path: impl AsRef<Path>, host: Arc<H>) -> io::Result<Self> {
+        Ok(Listener::bind(path)?.serve(host))
     }
 
     /// The socket path this server is bound to.
@@ -530,9 +564,6 @@ fn serve_batch<H: BatchHost>(
 mod tests {
     use super::*;
 
-    /// The trait must stay object-safe enough for generic use with an
-    /// associated snapshot; this is a compile-time exercise of the
-    /// bounds plus a tiny sanity check of Rejection.
     #[test]
     fn rejection_constructor() {
         let r = Rejection::new(ErrorCode::MalformedJob, "nope");
@@ -540,19 +571,17 @@ mod tests {
         assert_eq!(r.message, "nope");
     }
 
+    /// A host that keeps no counters settles every batch at zero.
     #[test]
     fn batch_stats_default_is_all_zero() {
-        let stats = BatchStats::default();
-        assert_eq!(stats.requests, 0);
-        assert!(stats.store.is_none());
+        let stats = IdleHost.finish_batch(IdleHost.snapshot());
+        assert_eq!(stats, EngineStats::default());
     }
 
     /// A host that accepts every handshake and is never sent a batch.
     struct IdleHost;
 
     impl BatchHost for IdleHost {
-        type Snapshot = ();
-
         fn schema(&self) -> u32 {
             1
         }
@@ -571,12 +600,6 @@ mod tests {
 
         fn run_job(&self, _: &[u8]) -> Result<Vec<u8>, Rejection> {
             Ok(Vec::new())
-        }
-
-        fn snapshot(&self) {}
-
-        fn finish_batch(&self, _: ()) -> BatchStats {
-            BatchStats::default()
         }
     }
 
@@ -665,8 +688,6 @@ mod tests {
     }
 
     impl BatchHost for GatedHost {
-        type Snapshot = ();
-
         fn schema(&self) -> u32 {
             1
         }
@@ -693,12 +714,6 @@ mod tests {
                     .recv_timeout(Duration::from_secs(10));
             }
             Ok(job.to_vec())
-        }
-
-        fn snapshot(&self) {}
-
-        fn finish_batch(&self, _: ()) -> BatchStats {
-            BatchStats::default()
         }
     }
 

@@ -6,7 +6,7 @@
 use std::io::Cursor;
 
 use confluence_serve::protocol::{self, RecvError};
-use confluence_serve::{BatchStats, ErrorCode, Frame, StoreLine};
+use confluence_serve::{EngineStats, ErrorCode, Frame};
 use confluence_store::{Decode, Encode};
 use proptest::prelude::*;
 
@@ -14,51 +14,20 @@ fn arb_blob() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec((0u64..256).prop_map(|b| b as u8), 0..48)
 }
 
-fn arb_store_line() -> impl Strategy<Value = StoreLine> {
-    (
-        prop::collection::vec(0u8..128, 0..24),
-        any::<u32>(),
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(|(root, schema, entries, bytes)| StoreLine {
-            // Arbitrary ASCII path; the codec only requires UTF-8.
-            root: root.into_iter().map(|b| (b % 94 + 33) as char).collect(),
-            schema,
-            entries,
-            bytes,
-        })
-}
-
-fn arb_stats() -> impl Strategy<Value = BatchStats> {
+fn arb_stats() -> impl Strategy<Value = EngineStats> {
     (
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
-        (
-            (any::<u64>(), any::<u64>()),
-            prop::option::of(arb_store_line()),
-        ),
-        // Often all-zero, so the conditional remote tail exercises both
-        // its omitted (v1-identical) and appended encodings.
-        (0u64..3, 0u64..3, 0u64..1000),
     )
         .prop_map(
             |(
                 (requests, executed, hits, disk_hits),
-                (memo_replayed, memo_recorded, memo_live),
-                ((memo_tables, memo_steps), store),
                 (remote_hits, remote_round_trips, remote_bytes),
-            )| BatchStats {
+            )| EngineStats {
                 requests,
                 executed,
                 hits,
                 disk_hits,
-                memo_replayed,
-                memo_recorded,
-                memo_live,
-                memo_tables,
-                memo_steps,
-                store,
                 remote_hits,
                 remote_round_trips,
                 remote_bytes,

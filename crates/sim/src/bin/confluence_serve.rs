@@ -12,7 +12,9 @@
 //! every batch binary (`confluence_sim::cli::ENGINE_FLAGS`), listed by
 //! the usage line printed on any argument error. The daemon declares no
 //! `--connect`, so a shell that exports `CONFLUENCE_CONNECT` for its
-//! clients can still start it.
+//! clients can still start it. The socket is bound before any workload
+//! is generated, so a path that cannot be bound (a regular file, a
+//! missing directory) exits 2 like any other argument error.
 //!
 //! `--peer SOCK` (repeatable) names other daemons forming a **remote
 //! warm tier**: a key that misses this daemon's memory and disk is
@@ -26,12 +28,13 @@
 //! for the daemon's lifetime; clients built over a different
 //! configuration are refused at handshake with a typed `ConfigMismatch`
 //! rather than served aliased results. A ready line is printed to
-//! stderr once the socket is listening.
+//! stderr once the engine is built and the daemon accepts; a client
+//! that connects earlier waits in the socket's backlog.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use confluence_serve::Server;
+use confluence_serve::Listener;
 use confluence_sim::cli::{self, Flag};
 use confluence_sim::daemon::EngineHost;
 
@@ -42,6 +45,10 @@ fn main() {
     let Some(socket) = cli.args.value("--socket").map(PathBuf::from) else {
         cli::fail("confluence-serve requires --socket PATH");
     };
+    // Bound before the workloads are generated, so a path that cannot
+    // be bound is refused like any other argument error.
+    let listener = Listener::bind(&socket)
+        .unwrap_or_else(|e| cli::fail(&format!("cannot bind {}: {e}", socket.display())));
     let engine = cli.engine();
     let store = match engine.store() {
         Some(s) => format!("store {}", s.root().display()),
@@ -60,14 +67,7 @@ fn main() {
         None => String::new(),
     };
     let host = Arc::new(EngineHost::new(engine, cli.store_cap));
-
-    let server = match Server::bind(&socket, Arc::clone(&host)) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", socket.display());
-            std::process::exit(1);
-        }
-    };
+    let server = listener.serve(Arc::clone(&host));
     eprintln!(
         "confluence-serve: listening on {} ({} mode, schema v{}, config {:016x}, \
          {} thread(s), {store}{peers})",

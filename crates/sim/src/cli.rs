@@ -15,7 +15,10 @@
 //!
 //! The checked [`Cli`] then builds the engine ([`Cli::engine`]), runs a
 //! batch in process or on a `--connect` daemon ([`Cli::run_jobs`]), and
-//! drives a whole multi-report binary ([`Cli::run_reports`]).
+//! drives a whole multi-report binary ([`Cli::run_reports`]). A run
+//! ends with one stderr line, [`cache_summary`], rendered from one
+//! [`EngineStats`]: this process's engine's, or the daemon's for the
+//! batch.
 //!
 //! A flag's environment fallback is read only when the flag is absent.
 //! Resolution order for the store directory:
@@ -33,12 +36,12 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-use confluence_serve::BatchStats;
+use confluence_serve::EngineStats;
 use confluence_store::ResultStore;
 use confluence_trace::ExecMode;
 
 use crate::codec::SCHEMA_VERSION;
-use crate::engine::{EngineStats, SimEngine};
+use crate::engine::SimEngine;
 use crate::experiments::{unique_jobs, ExperimentConfig};
 use crate::job::Job;
 use crate::peers::{PeerSet, DEFAULT_PEER_TIMEOUT};
@@ -473,7 +476,7 @@ impl Cli {
     /// status 1 — there is no silent local fallback, because a
     /// half-remote run would produce correct output while quietly not
     /// testing what was asked.
-    pub fn run_jobs(&self, engine: &SimEngine, jobs: &[Job]) -> Option<BatchStats> {
+    pub fn run_jobs(&self, engine: &SimEngine, jobs: &[Job]) -> Option<EngineStats> {
         let Some(sock) = self.connect() else {
             engine.run(jobs);
             return None;
@@ -484,24 +487,6 @@ impl Cli {
                 eprintln!("error: {e}");
                 std::process::exit(1);
             }
-        }
-    }
-
-    /// Applies the requested store cap (if any) after a batch: evicts
-    /// oldest-written entries until the store fits, reporting what went.
-    /// Runs after the batch — never between jobs — so a capped store
-    /// still serves every intra-run hit and only sheds history it can
-    /// re-derive.
-    pub fn run_store_gc(&self, engine: &SimEngine) {
-        let (Some(store), Some(cap)) = (engine.store(), self.store_cap) else {
-            return;
-        };
-        let gc = store.evict_to_cap(cap);
-        if gc.evicted_entries > 0 {
-            eprintln!(
-                "store gc: evicted {} entries ({} bytes) to fit the {} byte cap",
-                gc.evicted_entries, gc.evicted_bytes, cap
-            );
         }
     }
 
@@ -537,8 +522,8 @@ impl Cli {
         let daemon = self.run_jobs(&engine, &jobs);
         let elapsed = start.elapsed();
         let stats = engine.stats();
-        let (label, shown) = match &daemon {
-            Some(d) => ("daemon", daemon_stats(d)),
+        let (label, shown) = match daemon {
+            Some(d) => ("daemon", d),
             None => {
                 assert_eq!(
                     stats.executed + stats.disk_hits,
@@ -570,10 +555,13 @@ impl Cli {
             (stats.executed, stats.disk_hits),
             "formatting must be pure cache hits"
         );
-        self.run_store_gc(&engine);
-        match &daemon {
-            Some(d) => eprintln!("{}", daemon_cache_summary(d)),
-            None => eprintln!("{}", cache_summary(&engine)),
+        engine.apply_store_cap(self.store_cap);
+        match daemon {
+            Some(d) => eprintln!("{}", cache_summary("daemon cache", &d, None)),
+            None => eprintln!(
+                "{}",
+                cache_summary("cache", &engine.stats(), engine.store())
+            ),
         }
         if self.args.switch(COMPARE_SERIAL.name) {
             compare_serial(&engine, &jobs, elapsed, &rendered, render);
@@ -589,8 +577,11 @@ pub fn run_figure(figure: fn(&SimEngine, &ExperimentConfig) -> Report) {
     let mut cli = parse(&[OUTPUT_FLAGS, ENGINE_FLAGS]);
     let engine = cli.engine();
     println!("{}", cli.render(&figure(&engine, &cli.cfg)));
-    cli.run_store_gc(&engine);
-    eprintln!("{}", cache_summary(&engine));
+    engine.apply_store_cap(cli.store_cap);
+    eprintln!(
+        "{}",
+        cache_summary("cache", &engine.stats(), engine.store())
+    );
 }
 
 /// The `--compare-serial` tail of [`Cli::run_reports`]: re-run the same
@@ -648,95 +639,26 @@ fn compare_serial(
     );
 }
 
-/// A daemon's per-batch counters in the engine's own shape.
-fn daemon_stats(stats: &BatchStats) -> EngineStats {
-    EngineStats {
-        requests: stats.requests,
-        executed: stats.executed,
-        hits: stats.hits,
-        disk_hits: stats.disk_hits,
-        remote_hits: stats.remote_hits,
-        remote_round_trips: stats.remote_round_trips,
-        remote_bytes: stats.remote_bytes,
-    }
-}
-
 /// One-line cache accounting for a finished run, printed to stderr by
-/// every binary so report output on stdout stays byte-comparable. The
-/// trailing memo section is the warm-path audit trail: a run served
-/// entirely from the store shows `0 recorded` (CI asserts exactly that).
-pub fn cache_summary(engine: &SimEngine) -> String {
-    let stats = engine.stats();
-    let store = match engine.store() {
-        Some(s) => {
-            let usage = s.usage();
-            store_segment(
-                &s.root().display().to_string(),
-                s.schema(),
-                usage.entries as u64,
-                usage.bytes,
-            )
-        }
-        None => "store disabled".to_string(),
-    };
-    let memo = engine.memo_stats();
-    summary_line(
-        "cache",
-        &stats,
-        &store,
-        memo.replayed,
-        memo.recorded,
-        memo.live,
-        memo.tables as u64,
-        memo.steps as u64,
-    )
-}
-
-/// The same one-line accounting, rendered from a daemon's `BatchDone`
-/// stats instead of a local engine — so a `--connect` run's stderr
-/// carries the identical audit trail. The `daemon cache:` prefix marks
-/// whose counters these are.
-pub fn daemon_cache_summary(stats: &BatchStats) -> String {
-    let store = match &stats.store {
-        Some(l) => store_segment(&l.root, l.schema, l.entries, l.bytes),
-        None => "store disabled".to_string(),
-    };
-    summary_line(
-        "daemon cache",
-        &daemon_stats(stats),
-        &store,
-        stats.memo_replayed,
-        stats.memo_recorded,
-        stats.memo_live,
-        stats.memo_tables,
-        stats.memo_steps,
-    )
-}
-
-/// The store segment of a cache summary, shared by the local and daemon
-/// renderings so the two cannot drift apart.
-fn store_segment(root: &str, schema: u32, entries: u64, bytes: u64) -> String {
-    format!("store {root} (schema v{schema}, {entries} entries, {bytes} bytes)")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn summary_line(
-    label: &str,
-    stats: &EngineStats,
-    store: &str,
-    replayed: u64,
-    recorded: u64,
-    live: u64,
-    tables: u64,
-    steps: u64,
-) -> String {
-    // The remote tail is always rendered — `0 fetched` on peerless runs —
-    // so scripts can grep one stable shape everywhere (local, daemon,
-    // and search summaries alike).
+/// every binary so report output on stdout stays byte-comparable.
+/// `label` says whose counters `stats` are: `cache` for this process's
+/// engine, `daemon cache` for a `--connect` batch. A local `store` adds
+/// its segment; a daemon's store is not this process's to read. The
+/// remote segment is always rendered, `0 fetched` on peerless runs, so
+/// scripts can grep one shape everywhere.
+pub fn cache_summary(label: &str, stats: &EngineStats, store: Option<&ResultStore>) -> String {
+    let store = store.map_or_else(String::new, |s| {
+        let usage = s.usage();
+        format!(
+            "; store {} (schema v{}, {} entries, {} bytes)",
+            s.root().display(),
+            s.schema(),
+            usage.entries,
+            usage.bytes
+        )
+    });
     format!(
-        "{label}: {} requests = {} executed + {} memory hits + {} disk hits; {store}; \
-         memo: {replayed} replay hits, {recorded} recorded, {live} live, \
-         {tables} tables ({steps} steps); \
+        "{label}: {} requests = {} executed + {} memory hits + {} disk hits{store}; \
          remote: {} fetched, {} bytes, {} round trip(s)",
         stats.requests,
         stats.executed,
@@ -799,7 +721,9 @@ mod tests {
         );
         let engine = SimEngine::new(vec![(confluence_trace::Workload::WebFrontend, program)])
             .with_store(store);
-        assert!(cache_summary(&engine).contains("0 entries, 0 bytes"));
+        assert!(
+            cache_summary("cache", &engine.stats(), engine.store()).contains("0 entries, 0 bytes")
+        );
 
         engine.coverage(&crate::job::CoverageJob {
             workload: confluence_trace::Workload::WebFrontend,
@@ -812,11 +736,14 @@ mod tests {
         });
         let bytes = engine.store().unwrap().size_bytes();
         assert!(bytes > 0, "execution must spill to the store");
-        let summary = cache_summary(&engine);
+        let summary = cache_summary("cache", &engine.stats(), engine.store());
         assert!(
             summary.contains(&format!("1 entries, {bytes} bytes")),
             "summary must carry the store usage: {summary}"
         );
+        // A daemon's counters come without a store segment.
+        let daemon = cache_summary("daemon cache", &engine.stats(), None);
+        assert!(!daemon.contains("store"), "{daemon}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -847,34 +774,6 @@ mod tests {
             Some(123456)
         );
         assert_eq!(checked(&["--quick"]).store_cap, None);
-    }
-
-    #[test]
-    fn cache_summary_carries_the_memo_audit_trail() {
-        let program = std::sync::Arc::new(
-            confluence_trace::Program::generate(&confluence_trace::WorkloadSpec::tiny()).unwrap(),
-        );
-        let engine = SimEngine::new(vec![(confluence_trace::Workload::WebFrontend, program)]);
-        let summary = cache_summary(&engine);
-        assert!(
-            summary.contains("memo: 0 replay hits, 0 recorded, 0 live, 0 tables (0 steps)"),
-            "untranslated engine reports an empty memo section: {summary}"
-        );
-        engine.coverage(&crate::job::CoverageJob {
-            workload: confluence_trace::Workload::WebFrontend,
-            btb: crate::job::BtbSpec::Perfect,
-            opts: crate::coverage::CoverageOptions {
-                warmup_instrs: 5_000,
-                measure_instrs: 5_000,
-                ..Default::default()
-            },
-        });
-        let memo = engine.memo_stats();
-        assert!(memo.recorded > 0, "a cold run records paths");
-        assert!(
-            cache_summary(&engine).contains(&format!("{} recorded", memo.recorded)),
-            "summary must carry the memo counters"
-        );
     }
 
     #[test]

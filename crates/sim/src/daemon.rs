@@ -8,8 +8,11 @@
 //! opacity ends: [`EngineHost`] decodes each payload with the job codec
 //! (`crate::codec`), runs it through the shared engine (inheriting its
 //! in-flight dedup, so two clients submitting the same content-keyed
-//! job trigger one execution and two results), and settles each batch
-//! with store GC. The handshake pins [`SCHEMA_VERSION`] and the
+//! job trigger one execution and two results), and settles each batch:
+//! it applies the store cap, when one is set, and answers with the
+//! engine's [`EngineStats`] over the batch's window. Without a cap a
+//! settled batch reads nothing from the store directory. The handshake
+//! pins [`SCHEMA_VERSION`] and the
 //! [`workloads_fingerprint`] of the engine's generator specs, so a
 //! quick-mode client talking to a full-mode daemon is a typed
 //! `ConfigMismatch` refusal, never silently different numbers.
@@ -17,13 +20,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-use confluence_serve::{BatchHost, BatchStats, ErrorCode, Rejection, StoreLine};
+use confluence_serve::{BatchHost, EngineStats, ErrorCode, Rejection};
 use confluence_serve::{Client, ClientError};
 use confluence_store::{Decode, Encode};
-use confluence_trace::MemoStats;
 
 use crate::codec::{output_matches, workloads_fingerprint, SCHEMA_VERSION};
-use crate::engine::{EngineStats, SimEngine};
+use crate::engine::SimEngine;
 use crate::job::{Job, JobOutput};
 
 /// A [`SimEngine`] mounted behind the daemon protocol.
@@ -31,13 +33,6 @@ pub struct EngineHost {
     engine: SimEngine,
     fingerprint: u64,
     store_cap: Option<u64>,
-}
-
-/// Pre-batch accounting marks; [`BatchHost::finish_batch`] diffs them
-/// into the per-batch deltas a `BatchDone` frame carries.
-pub struct EngineSnapshot {
-    stats: EngineStats,
-    memo: MemoStats,
 }
 
 impl EngineHost {
@@ -66,8 +61,6 @@ impl EngineHost {
 }
 
 impl BatchHost for EngineHost {
-    type Snapshot = EngineSnapshot;
-
     fn schema(&self) -> u32 {
         SCHEMA_VERSION
     }
@@ -145,54 +138,13 @@ impl BatchHost for EngineHost {
         self.engine.fetch_remote_raw(ttl, keys)
     }
 
-    fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            stats: self.engine.stats(),
-            memo: self.engine.memo_stats(),
-        }
+    fn snapshot(&self) -> EngineStats {
+        self.engine.stats()
     }
 
-    fn finish_batch(&self, before: EngineSnapshot) -> BatchStats {
-        // GC first, so the store line below reports post-GC occupancy.
-        if let (Some(store), Some(cap)) = (self.engine.store(), self.store_cap) {
-            let gc = store.evict_to_cap(cap);
-            if gc.evicted_entries > 0 {
-                eprintln!(
-                    "confluence-serve: store gc evicted {} entries ({} bytes) to fit {cap} bytes",
-                    gc.evicted_entries, gc.evicted_bytes
-                );
-            }
-        }
-        let stats = self.engine.stats();
-        let memo = self.engine.memo_stats();
-        BatchStats {
-            // Saturating: concurrent batches race these counters, and a
-            // neighbour's increment between our snapshot and theirs must
-            // never underflow a delta.
-            requests: stats.requests.saturating_sub(before.stats.requests),
-            executed: stats.executed.saturating_sub(before.stats.executed),
-            hits: stats.hits.saturating_sub(before.stats.hits),
-            disk_hits: stats.disk_hits.saturating_sub(before.stats.disk_hits),
-            memo_replayed: memo.replayed.saturating_sub(before.memo.replayed),
-            memo_recorded: memo.recorded.saturating_sub(before.memo.recorded),
-            memo_live: memo.live.saturating_sub(before.memo.live),
-            memo_tables: memo.tables as u64,
-            memo_steps: memo.steps as u64,
-            store: self.engine.store().map(|s| {
-                let usage = s.usage();
-                StoreLine {
-                    root: s.root().display().to_string(),
-                    schema: s.schema(),
-                    entries: usage.entries as u64,
-                    bytes: usage.bytes,
-                }
-            }),
-            remote_hits: stats.remote_hits.saturating_sub(before.stats.remote_hits),
-            remote_round_trips: stats
-                .remote_round_trips
-                .saturating_sub(before.stats.remote_round_trips),
-            remote_bytes: stats.remote_bytes.saturating_sub(before.stats.remote_bytes),
-        }
+    fn finish_batch(&self, before: EngineStats) -> EngineStats {
+        self.engine.apply_store_cap(self.store_cap);
+        self.engine.stats().since(&before)
     }
 }
 
@@ -212,7 +164,7 @@ pub fn submit_jobs(
     sock: &Path,
     engine: &SimEngine,
     jobs: &[Job],
-) -> Result<BatchStats, ClientError> {
+) -> Result<EngineStats, ClientError> {
     let fingerprint = workloads_fingerprint(engine.workloads());
     let mut client = Client::connect(sock, SCHEMA_VERSION, fingerprint)?;
 

@@ -33,43 +33,18 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use confluence_serve::FETCH_HOP_LIMIT;
+use confluence_serve::{EngineStats, FETCH_HOP_LIMIT};
 use confluence_store::{Encode, ResultStore};
-use confluence_trace::{ExecMode, MemoStats, Program, Workload};
+use confluence_trace::{ExecMode, Program, Workload};
 
 use crate::cmp::{simulate_cmp_with_shards_mode, TimingResult};
 use crate::codec::{output_matches, workloads_fingerprint, StoreKey};
 use crate::coverage::{branch_density_mode, run_coverage_with_mode, CoverageResult};
 use crate::job::{CoverageJob, DensityJob, Job, JobOutput, TimingJob};
 use crate::peers::PeerSet;
-
-/// Snapshot of the engine's cache accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Total job requests served (executions + hits).
-    pub requests: u64,
-    /// Unique jobs actually simulated.
-    pub executed: u64,
-    /// Requests satisfied from the in-memory cache (or by waiting on an
-    /// in-flight execution of the same key).
-    pub hits: u64,
-    /// Unique jobs served from the persistent result store instead of
-    /// being simulated.
-    pub disk_hits: u64,
-    /// Results fetched from remote peers and promoted into the local
-    /// store. A promoted result is then served as a `disk_hits` entry —
-    /// `remote_hits` counts where the bytes came from, not an extra
-    /// serving tier.
-    pub remote_hits: u64,
-    /// Completed batched fetch exchanges with peers (at most one per
-    /// consulted peer per batch).
-    pub remote_round_trips: u64,
-    /// Raw entry bytes received from peers (verified or not).
-    pub remote_bytes: u64,
-}
 
 /// What a filled cache slot holds: the job's output, or a record that the
 /// executing thread panicked — waiters re-panic instead of deadlocking.
@@ -96,6 +71,14 @@ impl Slot {
     }
 }
 
+/// The result slots and the engine's counters, behind one lock: every
+/// request takes it once anyway, to find its slot.
+#[derive(Default)]
+struct Cache {
+    slots: HashMap<Job, Arc<Slot>>,
+    stats: EngineStats,
+}
+
 /// Parallel memoizing executor for simulation jobs.
 pub struct SimEngine {
     workloads: Vec<(Workload, Arc<Program>)>,
@@ -107,20 +90,13 @@ pub struct SimEngine {
     /// `Arc<Program>` (`Program::compiled`), so the whole suite pays one
     /// translation per workload per process, shared across jobs and shards.
     mode: ExecMode,
-    cache: Mutex<HashMap<Job, Arc<Slot>>>,
+    cache: Mutex<Cache>,
     store: Option<ResultStore>,
     /// The remote warm tier: peer daemons consulted (batched, once per
     /// batch) for keys missing from both memory and local disk. Fetched
     /// entries are re-verified and promoted into the local store, so
     /// the per-job lookup chain below never talks to the network.
     peers: Option<PeerSet>,
-    requests: AtomicU64,
-    executed: AtomicU64,
-    hits: AtomicU64,
-    disk_hits: AtomicU64,
-    remote_hits: AtomicU64,
-    remote_round_trips: AtomicU64,
-    remote_bytes: AtomicU64,
 }
 
 impl SimEngine {
@@ -134,16 +110,9 @@ impl SimEngine {
             workloads,
             threads,
             mode: ExecMode::from_env(),
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::default(),
             store: None,
             peers: None,
-            requests: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            remote_hits: AtomicU64::new(0),
-            remote_round_trips: AtomicU64::new(0),
-            remote_bytes: AtomicU64::new(0),
         }
     }
 
@@ -220,15 +189,11 @@ impl SimEngine {
 
     /// Current cache accounting.
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            remote_hits: self.remote_hits.load(Ordering::Relaxed),
-            remote_round_trips: self.remote_round_trips.load(Ordering::Relaxed),
-            remote_bytes: self.remote_bytes.load(Ordering::Relaxed),
-        }
+        self.lock_cache().stats
+    }
+
+    fn lock_cache(&self) -> std::sync::MutexGuard<'_, Cache> {
+        self.cache.lock().expect("engine cache poisoned")
     }
 
     /// Executes a batch of jobs on the worker pool. Duplicate keys within
@@ -252,10 +217,10 @@ impl SimEngine {
         // that are merely in flight stay in the batch so `run` still
         // returns only once their results land.
         let mut unique: Vec<&Job> = {
-            let cache = self.cache.lock().expect("engine cache poisoned");
+            let cache = self.lock_cache();
             deduped
                 .into_iter()
-                .filter(|job| match cache.get(*job) {
+                .filter(|job| match cache.slots.get(*job) {
                     Some(slot) => slot.ready.lock().expect("slot poisoned").is_none(),
                     None => true,
                 })
@@ -319,8 +284,7 @@ impl SimEngine {
     /// the figure formatters' subsequent reads are pure local hits. A
     /// key that is already cached (or in flight) is left alone.
     pub fn seed(&self, job: Job, output: JobOutput) {
-        let mut cache = self.cache.lock().expect("engine cache poisoned");
-        if let Entry::Vacant(v) = cache.entry(job) {
+        if let Entry::Vacant(v) = self.lock_cache().slots.entry(job) {
             let slot = Arc::new(Slot::new());
             slot.fill(Ok(Arc::new(output)));
             v.insert(slot);
@@ -340,12 +304,13 @@ impl SimEngine {
     /// concurrent requests for the same key wait for that execution;
     /// later requests read the cached result.
     fn fetch(&self, job: &Job) -> Arc<JobOutput> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
         let (slot, claimed) = {
-            let mut cache = self.cache.lock().expect("engine cache poisoned");
-            match cache.entry(job.clone()) {
+            let mut guard = self.lock_cache();
+            let cache = &mut *guard;
+            cache.stats.requests += 1;
+            match cache.slots.entry(job.clone()) {
                 Entry::Occupied(e) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    cache.stats.hits += 1;
                     (Arc::clone(e.get()), false)
                 }
                 Entry::Vacant(v) => {
@@ -372,12 +337,13 @@ impl SimEngine {
             }));
             match outcome {
                 Ok((out, from_disk)) => {
-                    let counter = if from_disk {
-                        &self.disk_hits
+                    let mut cache = self.lock_cache();
+                    if from_disk {
+                        cache.stats.disk_hits += 1;
                     } else {
-                        &self.executed
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
+                        cache.stats.executed += 1;
+                    }
+                    drop(cache);
                     slot.fill(Ok(Arc::clone(&out)));
                     out
                 }
@@ -411,16 +377,15 @@ impl SimEngine {
         let (Some(peers), Some(store)) = (&self.peers, &self.store) else {
             return;
         };
-        let fingerprint = workloads_fingerprint(&self.workloads);
         // Unique jobs missing from both local tiers. Keys merely in
         // flight are skipped too: whoever claimed them is already
         // producing the result.
         let mut missing: Vec<Vec<u8>> = Vec::new();
         {
             let mut seen = HashSet::with_capacity(jobs.len());
-            let cache = self.cache.lock().expect("engine cache poisoned");
+            let cache = self.lock_cache();
             for job in jobs {
-                if !seen.insert(job) || cache.contains_key(job) {
+                if !seen.insert(job) || cache.slots.contains_key(job) {
                     continue;
                 }
                 if !self.workloads.iter().any(|(w, _)| *w == job.workload()) {
@@ -435,18 +400,7 @@ impl SimEngine {
         if missing.is_empty() {
             return;
         }
-        let fetched = peers.fetch(fingerprint, FETCH_HOP_LIMIT, &missing);
-        self.remote_round_trips
-            .fetch_add(fetched.round_trips, Ordering::Relaxed);
-        self.remote_bytes
-            .fetch_add(fetched.bytes, Ordering::Relaxed);
-        for (key, entry) in missing.iter().zip(fetched.entries) {
-            // adopt_raw re-verifies every byte; a lying peer's entry is
-            // not adopted and its job re-simulates.
-            if entry.is_some_and(|data| store.adopt_raw(key, &data)) {
-                self.remote_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.adopt_from_peers(peers, store, FETCH_HOP_LIMIT, &missing);
     }
 
     /// The serving side of the remote warm tier: answers a peer's (or a
@@ -469,21 +423,55 @@ impl SimEngine {
             return entries;
         };
         let subset: Vec<Vec<u8>> = missing.iter().map(|&i| keys[i].clone()).collect();
-        let fingerprint = workloads_fingerprint(&self.workloads);
-        let fetched = peers.fetch(fingerprint, ttl - 1, &subset);
-        self.remote_round_trips
-            .fetch_add(fetched.round_trips, Ordering::Relaxed);
-        self.remote_bytes
-            .fetch_add(fetched.bytes, Ordering::Relaxed);
-        for (&slot, entry) in missing.iter().zip(fetched.entries) {
-            if let Some(data) = entry {
-                if store.adopt_raw(&keys[slot], &data) {
-                    self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                    entries[slot] = Some(data);
-                }
-            }
+        let adopted = self.adopt_from_peers(peers, store, ttl - 1, &subset);
+        for (&slot, entry) in missing.iter().zip(adopted) {
+            entries[slot] = entry;
         }
         entries
+    }
+
+    /// Fetches `keys` from the peers in one batched exchange per peer,
+    /// counts the round trips and bytes, and adopts each returned entry
+    /// into the local store. `adopt_raw` re-verifies every byte, so a
+    /// lying peer's entry is dropped and its job re-simulates. Returns
+    /// the adopted entries, index-aligned with `keys`.
+    fn adopt_from_peers(
+        &self,
+        peers: &PeerSet,
+        store: &ResultStore,
+        ttl: u32,
+        keys: &[Vec<u8>],
+    ) -> Vec<Option<Vec<u8>>> {
+        let fetched = peers.fetch(workloads_fingerprint(&self.workloads), ttl, keys);
+        let adopted: Vec<Option<Vec<u8>>> = keys
+            .iter()
+            .zip(fetched.entries)
+            .map(|(key, entry)| entry.filter(|data| store.adopt_raw(key, data)))
+            .collect();
+        let stats = &mut self.lock_cache().stats;
+        stats.remote_round_trips += fetched.round_trips;
+        stats.remote_bytes += fetched.bytes;
+        stats.remote_hits += adopted.iter().flatten().count() as u64;
+        adopted
+    }
+
+    /// Applies a store size cap (`--store-cap-bytes`) after a batch:
+    /// evicts the oldest-written entries until the store fits `cap` and
+    /// notes on stderr what went. Call it after a batch, never between
+    /// jobs, so a capped store still serves every intra-run hit and only
+    /// sheds history it can re-derive. Without a store or a cap it does
+    /// nothing, and in particular reads nothing from the store directory.
+    pub fn apply_store_cap(&self, cap: Option<u64>) {
+        let (Some(store), Some(cap)) = (&self.store, cap) else {
+            return;
+        };
+        let gc = store.evict_to_cap(cap);
+        if gc.evicted_entries > 0 {
+            eprintln!(
+                "store gc: evicted {} entries ({} bytes) to fit the {cap} byte cap",
+                gc.evicted_entries, gc.evicted_bytes
+            );
+        }
     }
 
     /// The persistent key for `job`: the job plus the spec its program
@@ -515,23 +503,6 @@ impl SimEngine {
         if let Some(store) = &self.store {
             let _ = store.save(&self.store_key(job), output);
         }
-    }
-
-    /// Aggregate path-memo accounting across the workloads this process
-    /// actually translated (untranslated programs have no bank to read).
-    pub fn memo_stats(&self) -> MemoStats {
-        let mut total = MemoStats::default();
-        for (_, program) in &self.workloads {
-            if let Some(compiled) = program.compiled_if_translated() {
-                let s = compiled.memo_stats();
-                total.tables += s.tables;
-                total.steps += s.steps;
-                total.replayed += s.replayed;
-                total.recorded += s.recorded;
-                total.live += s.live;
-            }
-        }
-        total
     }
 
     fn execute(&self, job: &Job) -> JobOutput {

@@ -29,8 +29,10 @@ use crate::designs::DesignPoint;
 use crate::engine::SimEngine;
 use crate::job::{BtbSpec, CoverageJob, DensityJob, Job, TimingJob};
 use crate::report::{f, pct, Report};
+use crate::sweeps::{baseline_job, capacity_job, geometry_job, history_job};
 
-use confluence_core::AirBtbMode;
+use confluence_core::{AirBtbMode, DEFAULT_BUNDLES};
+use confluence_prefetch::DEFAULT_HISTORY_ENTRIES;
 
 /// Shared experiment configuration.
 #[derive(Clone, Debug)]
@@ -152,26 +154,10 @@ impl Default for ExperimentConfig {
     }
 }
 
-/// The 1K-conventional-BTB coverage baseline every coverage figure
-/// normalizes against. One shared key — Figures 8, 9, 10 and the L1-I
-/// table all reuse this run.
-fn baseline_coverage_job(workload: Workload, cfg: &ExperimentConfig) -> CoverageJob {
-    CoverageJob {
-        workload,
-        btb: BtbSpec::Baseline1k,
-        opts: cfg.coverage(),
-    }
-}
-
-/// An AirBTB ablation coverage job (Figures 8 and 10). SHIFT is attached
-/// exactly when the ablation level includes prefetch-driven fill.
-fn airbtb_job(
-    workload: Workload,
-    mode: AirBtbMode,
-    bundle_entries: usize,
-    overflow_entries: usize,
-    cfg: &ExperimentConfig,
-) -> CoverageJob {
+/// An AirBTB ablation coverage job on the Figure 8 ladder (3 entries
+/// per bundle, 32 overflow entries). SHIFT is attached exactly when the
+/// ablation level includes prefetch-driven fill.
+fn ablation_job(workload: Workload, mode: AirBtbMode, cfg: &ExperimentConfig) -> CoverageJob {
     let opts = match mode {
         AirBtbMode::Prefetching | AirBtbMode::Full => cfg.coverage().with_shift(),
         _ => cfg.coverage(),
@@ -180,9 +166,9 @@ fn airbtb_job(
         workload,
         btb: BtbSpec::AirBtb {
             mode,
-            bundles: confluence_core::DEFAULT_BUNDLES,
-            bundle_entries,
-            overflow_entries,
+            bundles: DEFAULT_BUNDLES,
+            bundle_entries: 3,
+            overflow_entries: 32,
         },
         opts,
     }
@@ -202,28 +188,6 @@ fn large16k_job(workload: Workload, cfg: &ExperimentConfig) -> CoverageJob {
     CoverageJob {
         workload,
         btb: BtbSpec::Large16k,
-        opts: cfg.coverage(),
-    }
-}
-
-/// The baseline BTB with SHIFT attached (the L1-I coverage table).
-fn shift_baseline_job(workload: Workload, cfg: &ExperimentConfig) -> CoverageJob {
-    CoverageJob {
-        workload,
-        btb: BtbSpec::Baseline1k,
-        opts: cfg.coverage().with_shift(),
-    }
-}
-
-/// One Figure 1 sweep point (`kilo` kilo-entries).
-fn fig1_job(workload: Workload, kilo: usize, cfg: &ExperimentConfig) -> CoverageJob {
-    CoverageJob {
-        workload,
-        btb: BtbSpec::Conventional {
-            entries: kilo * 1024,
-            ways: 4,
-            victim_entries: 64,
-        },
         opts: cfg.coverage(),
     }
 }
@@ -259,7 +223,7 @@ pub fn fig1_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
     let mut jobs = Vec::new();
     for (w, _) in engine.workloads() {
         for k in FIG1_CAPACITIES {
-            jobs.push(fig1_job(*w, k, cfg).into());
+            jobs.push(capacity_job(*w, k * 1024, cfg).into());
         }
     }
     jobs
@@ -275,7 +239,7 @@ pub fn fig1(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
     for (w, _) in engine.workloads() {
         let mut cells = vec![w.name().to_string()];
         for k in FIG1_CAPACITIES {
-            let r = engine.coverage(&fig1_job(*w, k, cfg));
+            let r = engine.coverage(&capacity_job(*w, k * 1024, cfg));
             cells.push(f(r.btb_mpki(), 1));
         }
         report.row(cells);
@@ -343,9 +307,9 @@ const FIG8_LADDER: [AirBtbMode; 4] = [
 pub fn fig8_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
     let mut jobs = Vec::new();
     for (w, _) in engine.workloads() {
-        jobs.push(baseline_coverage_job(*w, cfg).into());
+        jobs.push(baseline_job(*w, cfg).into());
         for mode in FIG8_LADDER {
-            jobs.push(airbtb_job(*w, mode, 3, 32, cfg).into());
+            jobs.push(ablation_job(*w, mode, cfg).into());
         }
     }
     jobs
@@ -368,10 +332,10 @@ pub fn fig8(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
         ],
     );
     for (w, _) in engine.workloads() {
-        let rb = engine.coverage(&baseline_coverage_job(*w, cfg));
+        let rb = engine.coverage(&baseline_job(*w, cfg));
         let mut cells = vec![w.name().to_string()];
         for mode in FIG8_LADDER {
-            let r = engine.coverage(&airbtb_job(*w, mode, 3, 32, cfg));
+            let r = engine.coverage(&ablation_job(*w, mode, cfg));
             cells.push(pct(r.btb_miss_coverage_vs(&rb)));
         }
         report.row(cells);
@@ -383,9 +347,9 @@ pub fn fig8(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
 pub fn fig9_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
     let mut jobs = Vec::new();
     for (w, _) in engine.workloads() {
-        jobs.push(baseline_coverage_job(*w, cfg).into());
+        jobs.push(baseline_job(*w, cfg).into());
         jobs.push(phantom_job(*w, cfg).into());
-        jobs.push(airbtb_job(*w, AirBtbMode::Full, 3, 32, cfg).into());
+        jobs.push(geometry_job(*w, (DEFAULT_BUNDLES, 3, 32), cfg).into());
         jobs.push(large16k_job(*w, cfg).into());
     }
     jobs
@@ -401,9 +365,9 @@ pub fn fig9(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
         &["workload", "PhantomBTB", "AirBTB", "16K BTB"],
     );
     for (w, _) in engine.workloads() {
-        let rb = engine.coverage(&baseline_coverage_job(*w, cfg));
+        let rb = engine.coverage(&baseline_job(*w, cfg));
         let rp = engine.coverage(&phantom_job(*w, cfg));
-        let ra = engine.coverage(&airbtb_job(*w, AirBtbMode::Full, 3, 32, cfg));
+        let ra = engine.coverage(&geometry_job(*w, (DEFAULT_BUNDLES, 3, 32), cfg));
         let r16 = engine.coverage(&large16k_job(*w, cfg));
         report.row(vec![
             w.name().to_string(),
@@ -421,9 +385,9 @@ const FIG10_CONFIGS: [(usize, usize); 4] = [(3, 0), (3, 32), (4, 0), (4, 32)];
 pub fn fig10_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
     let mut jobs = Vec::new();
     for (w, _) in engine.workloads() {
-        jobs.push(baseline_coverage_job(*w, cfg).into());
+        jobs.push(baseline_job(*w, cfg).into());
         for (b, ob) in FIG10_CONFIGS {
-            jobs.push(airbtb_job(*w, AirBtbMode::Full, b, ob, cfg).into());
+            jobs.push(geometry_job(*w, (DEFAULT_BUNDLES, b, ob), cfg).into());
         }
     }
     jobs
@@ -439,10 +403,10 @@ pub fn fig10(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
         &["workload", "B:3,OB:0", "B:3,OB:32", "B:4,OB:0", "B:4,OB:32"],
     );
     for (w, _) in engine.workloads() {
-        let rb = engine.coverage(&baseline_coverage_job(*w, cfg));
+        let rb = engine.coverage(&baseline_job(*w, cfg));
         let mut cells = vec![w.name().to_string()];
         for (b, ob) in FIG10_CONFIGS {
-            let r = engine.coverage(&airbtb_job(*w, AirBtbMode::Full, b, ob, cfg));
+            let r = engine.coverage(&geometry_job(*w, (DEFAULT_BUNDLES, b, ob), cfg));
             cells.push(pct(r.btb_miss_coverage_vs(&rb)));
         }
         report.row(cells);
@@ -454,8 +418,8 @@ pub fn fig10(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
 pub fn l1i_coverage_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
     let mut jobs = Vec::new();
     for (w, _) in engine.workloads() {
-        jobs.push(baseline_coverage_job(*w, cfg).into());
-        jobs.push(shift_baseline_job(*w, cfg).into());
+        jobs.push(baseline_job(*w, cfg).into());
+        jobs.push(history_job(*w, DEFAULT_HISTORY_ENTRIES, cfg).into());
     }
     jobs
 }
@@ -469,8 +433,8 @@ pub fn l1i_coverage(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
         &["workload", "base L1-I MPKI", "SHIFT L1-I MPKI", "coverage"],
     );
     for (w, _) in engine.workloads() {
-        let rb = engine.coverage(&baseline_coverage_job(*w, cfg));
-        let rs = engine.coverage(&shift_baseline_job(*w, cfg));
+        let rb = engine.coverage(&baseline_job(*w, cfg));
+        let rs = engine.coverage(&history_job(*w, DEFAULT_HISTORY_ENTRIES, cfg));
         report.row(vec![
             w.name().to_string(),
             f(rb.l1i_mpki(), 1),

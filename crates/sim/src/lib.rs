@@ -22,13 +22,14 @@ pub use cmp::{
     TimingResult,
 };
 pub use codec::SCHEMA_VERSION;
+pub use confluence_serve::EngineStats;
 pub use confluence_trace::{ExecMode, NO_FASTPATH_ENV};
 pub use coverage::{
     branch_density, branch_density_mode, run_coverage, run_coverage_mode, run_coverage_with,
     run_coverage_with_mode, CoverageOptions, CoverageResult, DEFAULT_L1I_KB,
 };
 pub use designs::{airbtb_ablation, DesignPoint, PrefetchScheme};
-pub use engine::{EngineStats, SimEngine};
+pub use engine::SimEngine;
 pub use job::{BtbSpec, CoverageJob, DensityJob, Job, JobOutput, TimingJob};
 pub use peers::{PeerSet, DEFAULT_PEER_TIMEOUT};
 pub use sweeps::{SweepAxis, SweepSpec};

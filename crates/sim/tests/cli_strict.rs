@@ -229,15 +229,27 @@ fn argument_errors_come_before_workload_generation() {
     // --peer needs a store to promote into. --compare-serial times a
     // local serial run, so against a daemon it would time a simulation
     // against a round trip: refused whether the socket comes from the
-    // flag or the environment, and without connecting.
+    // flag or the environment, and without connecting. A daemon socket
+    // that cannot be bound is refused too, and a file in its place is
+    // left as it was.
     let connect_env = [("CONFLUENCE_CONNECT", "/nonexistent.sock")];
-    for (args, env, named) in [
+    let notes = std::env::temp_dir().join(format!(
+        "confluence-cli-strict-notes-{}.txt",
+        std::process::id()
+    ));
+    std::fs::write(&notes, b"notes").expect("temp dir writable");
+    let notes_arg = notes.to_str().expect("utf-8 temp path");
+    let all_experiments = env!("CARGO_BIN_EXE_all_experiments");
+    let daemon = env!("CARGO_BIN_EXE_confluence-serve");
+    for (exe, args, env, named) in [
         (
+            all_experiments,
             &["--quick", "--no-store", "--peer", "/tmp/x.sock"] as &[&str],
             &[] as &[(&str, &str)],
             &["--peer requires a persistent store"] as &[&str],
         ),
         (
+            all_experiments,
             &[
                 "--quick",
                 "--compare-serial",
@@ -248,12 +260,30 @@ fn argument_errors_come_before_workload_generation() {
             &["--compare-serial", "--connect"],
         ),
         (
+            all_experiments,
             &["--quick", "--compare-serial"],
             &connect_env,
             &["--compare-serial", "--connect"],
         ),
+        (
+            daemon,
+            &["--socket", notes_arg, "--quick", "--no-store"],
+            &[],
+            &["cannot bind", "is not a socket"],
+        ),
+        (
+            daemon,
+            &[
+                "--socket",
+                "/nonexistent-dir/d.sock",
+                "--quick",
+                "--no-store",
+            ],
+            &[],
+            &["cannot bind /nonexistent-dir/d.sock"],
+        ),
     ] {
-        let out = run(env!("CARGO_BIN_EXE_all_experiments"), args, env);
+        let out = run(exe, args, env);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?} {env:?}: {stderr}");
         assert!(
@@ -265,6 +295,8 @@ fn argument_errors_come_before_workload_generation() {
             "{args:?} {env:?} must be refused before any workload: {stderr}"
         );
     }
+    assert_eq!(std::fs::read(&notes).expect("file left in place"), b"notes");
+    let _ = std::fs::remove_file(&notes);
 }
 
 #[test]
