@@ -147,7 +147,7 @@ impl ShiftHistory {
     /// Records one block access from the history-generator core.
     ///
     /// Consecutive duplicates are collapsed, and accesses within
-    /// [`FOOTPRINT_SPAN`] blocks *ahead* of the open entry's trigger merge
+    /// `FOOTPRINT_SPAN` blocks *ahead* of the open entry's trigger merge
     /// into its footprint bitmap instead of consuming a new entry
     /// (spatio-temporal compaction, as in PIF/SHIFT).
     pub fn record(&mut self, block: BlockAddr) {

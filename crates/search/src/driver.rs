@@ -2,7 +2,10 @@
 //! repeated to convergence, then folded into reports.
 //!
 //! The driver owns the evaluation cache. Strategies may re-propose
-//! points; only *fresh* points expand to jobs, and every batch goes
+//! points; only *fresh* points are evaluated. Each round's batch is
+//! planned from [`Study::evaluate`] over the fresh points
+//! ([`confluence_sim::experiments::plan`]), so the jobs a point needs
+//! are named once, by the evaluation that reads them. Every batch goes
 //! through the caller-supplied `run_jobs` hook — `engine.run` in
 //! process, or a daemon submission in `--connect` mode (which seeds the
 //! local cache, so evaluation stays a pure local read either way). A
@@ -12,9 +15,9 @@
 
 use std::collections::BTreeMap;
 
-use confluence_sim::experiments::ExperimentConfig;
+use confluence_sim::experiments::{plan, ExperimentConfig};
 use confluence_sim::report::{f, Report};
-use confluence_sim::{Job, SimEngine};
+use confluence_sim::{Job, Results};
 
 use crate::objective::{AnswerRule, PointEval, Study};
 use crate::strategy::Point;
@@ -38,23 +41,23 @@ pub struct SearchOutcome {
     pub evaluated: usize,
 }
 
-/// Runs one study to convergence against the engine's cache.
+/// Runs one study to convergence against `results` (the engine's
+/// cache).
 ///
 /// `run_jobs` executes a batch of content-keyed jobs and must leave
-/// their results readable from `engine` (in process that is
+/// their results readable from `results` (in process that is
 /// `engine.run`; over `--connect` it is a daemon submission, which
 /// seeds the local cache). Determinism: with a fixed `seed` the visited
 /// point sequence, the trajectory, and the answer are identical on
 /// every run — the goldens pin exactly that.
 pub fn run_search(
-    engine: &SimEngine,
+    results: &dyn Results,
     cfg: &ExperimentConfig,
     study: &Study,
     seed: u64,
     mut run_jobs: impl FnMut(&[Job]),
 ) -> SearchOutcome {
-    let workloads: Vec<confluence_trace::Workload> =
-        engine.workloads().iter().map(|(w, _)| *w).collect();
+    let workloads = results.workload_list();
     let mut strategy = study.strategy(seed);
     let mut evals: BTreeMap<Point, PointEval> = BTreeMap::new();
     let mut trajectory = Report::new(
@@ -74,18 +77,16 @@ pub fn run_search(
                 fresh.push(p.clone());
             }
         }
-        let mut jobs: Vec<Job> = Vec::new();
-        if iterations == 1 {
-            jobs.extend(study.prereq_jobs(&workloads, cfg));
-        }
-        for p in &fresh {
-            jobs.extend(study.point_jobs(p, &workloads, cfg));
-        }
+        let jobs = plan(&workloads, |planner| {
+            for p in &fresh {
+                study.evaluate(p, planner, cfg);
+            }
+        });
         if !jobs.is_empty() {
             run_jobs(&jobs);
         }
         for p in &fresh {
-            let eval = study.evaluate(p, engine, cfg);
+            let eval = study.evaluate(p, results, cfg);
             trajectory.row(vec![
                 iterations.to_string(),
                 eval.label.clone(),

@@ -6,8 +6,9 @@
 //! [`Study`] names an objective ("max IPC per mm² under an area
 //! budget", "smallest SHIFT history within 1% of peak coverage"), a
 //! [`SearchStrategy`] proposes successive batches of candidate points,
-//! and the driver maps each batch through the sweep subsystem's public
-//! job constructors into ordinary content-keyed jobs on a
+//! and the driver plans each batch from the study's evaluation of the
+//! fresh points, whose reads go through the sweep subsystem's public job
+//! constructors: ordinary content-keyed jobs on a
 //! [`SimEngine`](confluence_sim::SimEngine).
 //!
 //! That last part is the point of the design: the search inherits the

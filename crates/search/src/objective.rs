@@ -3,11 +3,11 @@
 //!
 //! A [`Study`] binds a named design question ("how many cores maximize
 //! IPC per mm² under an area budget?") to a search space, a metric, and
-//! a [`SearchStrategy`]. Points map to jobs through the *same public
-//! constructors the sweep studies use* ([`confluence_sim::sweeps`]), so
-//! a search probe and the matching sweep point share one content key —
-//! and therefore one cached simulation in the engine, the persistent
-//! store, and the daemon.
+//! a [`SearchStrategy`]. A point's jobs are whatever [`Study::evaluate`]
+//! reads, built by the *same public constructors the sweep studies use*
+//! ([`confluence_sim::sweeps`]), so a search probe and the matching
+//! sweep point share one content key — and therefore one cached
+//! simulation in the engine, the persistent store, and the daemon.
 //!
 //! Metrics aggregate across the five paper workloads with a plain
 //! arithmetic mean: it is deterministic, platform-stable (no `powf` in
@@ -20,8 +20,7 @@ use confluence_core::{AirBtb, AirBtbMode, DEFAULT_BUNDLES};
 use confluence_prefetch::ShiftHistory;
 use confluence_sim::experiments::ExperimentConfig;
 use confluence_sim::sweeps;
-use confluence_sim::{DesignPoint, Job, SimEngine};
-use confluence_trace::Workload;
+use confluence_sim::{DesignPoint, Results};
 
 use crate::strategy::{
     CoordinateDescent, GoldenSection, Point, SearchStrategy, ThresholdBisection, ThresholdSense,
@@ -166,67 +165,22 @@ impl Study {
         }
     }
 
-    /// Jobs every iteration of this study depends on regardless of the
-    /// proposed points (the shared coverage baseline for coverage-vs
-    /// metrics). The driver batches these with the first iteration so a
-    /// connected run never simulates locally.
-    pub fn prereq_jobs(&self, workloads: &[Workload], cfg: &ExperimentConfig) -> Vec<Job> {
-        match &self.kind {
-            StudyKind::MinShiftHistory { .. } | StudyKind::BundlePerArea { .. } => workloads
-                .iter()
-                .map(|&w| sweeps::baseline_job(w, cfg).into())
-                .collect(),
-            StudyKind::IpcPerMm2 { .. } | StudyKind::MinBtbCapacity { .. } => Vec::new(),
-        }
-    }
-
-    /// The content-keyed jobs one point expands to (one per workload),
-    /// built by the sweep subsystem's public constructors so coinciding
-    /// points are cache hits.
-    pub fn point_jobs(
+    /// Evaluates one point from `results`: the metric is the arithmetic
+    /// mean over its workloads (the full paper set in the binaries, a
+    /// single one in the golden harness), the area comes from the
+    /// structure constructors' storage profiles through the paper's area
+    /// model. The jobs it reads are the point's batch
+    /// ([`confluence_sim::experiments::plan`]), built by the sweep
+    /// subsystem's public constructors so coinciding points are cache
+    /// hits; the driver runs that batch first, so evaluation never
+    /// simulates.
+    pub fn evaluate(
         &self,
         point: &Point,
-        workloads: &[Workload],
+        results: &dyn Results,
         cfg: &ExperimentConfig,
-    ) -> Vec<Job> {
-        workloads
-            .iter()
-            .map(|&w| match &self.kind {
-                StudyKind::IpcPerMm2 { cores, .. } => {
-                    sweeps::scaling_job(w, DesignPoint::Confluence, cores[point[0]], cfg).into()
-                }
-                StudyKind::MinShiftHistory { entries, .. } => {
-                    sweeps::history_job(w, entries[point[0]], cfg).into()
-                }
-                StudyKind::MinBtbCapacity { entries, .. } => {
-                    sweeps::capacity_job(w, entries[point[0]], cfg).into()
-                }
-                StudyKind::BundlePerArea {
-                    bundle_entries,
-                    overflow,
-                } => sweeps::geometry_job(
-                    w,
-                    (
-                        DEFAULT_BUNDLES,
-                        bundle_entries[point[0]],
-                        overflow[point[1]],
-                    ),
-                    cfg,
-                )
-                .into(),
-            })
-            .collect()
-    }
-
-    /// Evaluates one point from the engine's warm cache: the metric is
-    /// the arithmetic mean over the engine's workloads (the full paper
-    /// set in the binaries, a single one in the golden harness), the
-    /// area comes from the structure constructors' storage profiles
-    /// through the paper's area model. Every job this reads must already
-    /// be in the cache (the driver guarantees it), so evaluation never
-    /// simulates.
-    pub fn evaluate(&self, point: &Point, engine: &SimEngine, cfg: &ExperimentConfig) -> PointEval {
-        let workloads: Vec<Workload> = engine.workloads().iter().map(|(w, _)| *w).collect();
+    ) -> PointEval {
+        let workloads = results.workload_list();
         let mean = |vals: Vec<f64>| vals.iter().sum::<f64>() / vals.len() as f64;
         let (metric, area_mm2) = match &self.kind {
             StudyKind::IpcPerMm2 { cores, .. } => {
@@ -235,7 +189,7 @@ impl Study {
                     workloads
                         .iter()
                         .map(|&w| {
-                            engine
+                            results
                                 .timing(&sweeps::scaling_job(w, DesignPoint::Confluence, c, cfg))
                                 .ipc()
                         })
@@ -251,8 +205,8 @@ impl Study {
                     workloads
                         .iter()
                         .map(|&w| {
-                            let base = engine.coverage(&sweeps::baseline_job(w, cfg));
-                            engine
+                            let base = results.coverage(&sweeps::baseline_job(w, cfg));
+                            results
                                 .coverage(&sweeps::history_job(w, e, cfg))
                                 .l1i_miss_coverage_vs(&base)
                         })
@@ -267,7 +221,11 @@ impl Study {
                 let mpki = mean(
                     workloads
                         .iter()
-                        .map(|&w| engine.coverage(&sweeps::capacity_job(w, e, cfg)).btb_mpki())
+                        .map(|&w| {
+                            results
+                                .coverage(&sweeps::capacity_job(w, e, cfg))
+                                .btb_mpki()
+                        })
                         .collect(),
                 );
                 let storage = ConventionalBtb::new("BTB", e, 4, 64)
@@ -288,8 +246,8 @@ impl Study {
                     workloads
                         .iter()
                         .map(|&w| {
-                            let base = engine.coverage(&sweeps::baseline_job(w, cfg));
-                            engine
+                            let base = results.coverage(&sweeps::baseline_job(w, cfg));
+                            results
                                 .coverage(&sweeps::geometry_job(w, geom, cfg))
                                 .btb_miss_coverage_vs(&base)
                         })
@@ -479,6 +437,9 @@ pub fn find(name: &str) -> Option<Study> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use confluence_sim::experiments::plan;
+    use confluence_sim::Job;
+    use confluence_trace::Workload;
 
     #[test]
     fn registry_names_are_unique_and_findable() {
@@ -495,21 +456,29 @@ mod tests {
     }
 
     #[test]
-    fn point_jobs_alias_the_sweep_jobs_at_coinciding_points() {
-        // The search's 32K history point must be byte-for-byte the
-        // sweep's 32K point, so the caches collapse them.
+    fn point_reads_alias_the_sweep_jobs_at_coinciding_points() {
+        // The search's 32K history point must read byte-for-byte the
+        // sweep's 32K point and baseline, so the caches collapse them.
         let cfg = ExperimentConfig::quick();
         let study = find("min-shift-history").unwrap();
         let StudyKind::MinShiftHistory { ref entries, .. } = study.kind else {
             unreachable!()
         };
         let idx = entries.iter().position(|&e| e == 32 * 1024).unwrap();
-        let jobs = study.point_jobs(&vec![idx], &Workload::ALL, &cfg);
+        let jobs = plan(&Workload::ALL, |r| study.evaluate(&vec![idx], r, &cfg));
         let expect: Vec<Job> = Workload::ALL
             .into_iter()
-            .map(|w| sweeps::history_job(w, 32 * 1024, &cfg).into())
+            .flat_map(|w| {
+                [
+                    sweeps::baseline_job(w, &cfg).into(),
+                    sweeps::history_job(w, 32 * 1024, &cfg).into(),
+                ]
+            })
             .collect();
         assert_eq!(jobs, expect);
+        let sweep = sweeps::find("shift-history").unwrap();
+        let sweep_jobs = plan(&Workload::ALL, |r| sweep.report(r, &cfg));
+        assert!(jobs.iter().all(|j| sweep_jobs.contains(j)));
     }
 
     #[test]

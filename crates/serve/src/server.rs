@@ -149,17 +149,20 @@ pub struct Listener {
 }
 
 impl Listener {
-    /// Binds a Unix-domain socket at `path`, replacing any stale socket
+    /// Binds a Unix-domain socket at `path`, replacing a stale socket
     /// file left by a previous run.
     ///
     /// # Errors
     ///
-    /// Errors if the socket cannot be bound, and without touching it if
-    /// `path` holds anything but a socket.
+    /// Errors if the socket cannot be bound, and without touching `path`
+    /// if it holds anything but a socket, or a socket a live server
+    /// answers on (`AddrInUse`).
     pub fn bind(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         // A crashed daemon leaves its socket file behind; binding over
-        // it needs the stale file gone. Only a socket is removed: a
+        // it needs the stale file gone. Only a socket that refuses a
+        // connection is removed: unlinking a live daemon's socket would
+        // strand that daemon on a path no client can reach, and a
         // mistyped `--socket notes.txt` must not delete the user's file.
         // Losing a race here means the path is genuinely in use and bind
         // reports AddrInUse.
@@ -170,13 +173,24 @@ impl Listener {
                     format!("{} exists and is not a socket", path.display()),
                 ));
             }
+            Ok(_) => match UnixStream::connect(&path) {
+                Ok(_) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::AddrInUse,
+                        format!("{} is the socket of a running server", path.display()),
+                    ));
+                }
+                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
+                    match std::fs::remove_file(&path) {
+                        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                        _ => {}
+                    }
+                }
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                Err(_) => {}
+            },
             Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-            _ => {}
-        }
-        match std::fs::remove_file(&path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+            Err(_) => {}
         }
         let listener = UnixListener::bind(&path)?;
         Ok(Listener { listener, path })
@@ -273,9 +287,9 @@ impl ServerHandle {
     ///
     /// The accept loop blocks in `accept`, so `stop` sets the stop flag
     /// and then connects once to the socket path to wake it. That
-    /// connect can miss: the socket file may have been removed, or
-    /// another server may have bound the path since (binding unlinks
-    /// whatever is there). If the loop has not exited shortly after the
+    /// connect can miss: the socket file may have been removed, and
+    /// another server may have bound the path since. If the loop has not
+    /// exited shortly after the
     /// wake-up connect, `stop` leaves the accept thread detached, blocked
     /// in `accept` until the process ends, and returns anyway: it never
     /// hangs on the accept loop. It then leaves the socket path alone,
@@ -646,9 +660,9 @@ mod tests {
         );
     }
 
-    /// Another server that binds the path takes the wake-up connect;
-    /// `stop` must still return, and must leave the new server's socket
-    /// file in place.
+    /// Another server that binds the path once the old socket file is
+    /// gone takes the wake-up connect; `stop` must still return, and
+    /// must leave the new server's socket file in place.
     #[test]
     fn stop_leaves_a_rebound_path_to_its_new_owner() {
         let sock = std::env::temp_dir().join(format!(
@@ -656,12 +670,44 @@ mod tests {
             std::process::id()
         ));
         let old = Server::bind(&sock, Arc::new(IdleHost)).unwrap().spawn();
+        std::fs::remove_file(&sock).unwrap();
         let new = Server::bind(&sock, Arc::new(IdleHost)).unwrap().spawn();
         let (stopped_tx, stopped) = mpsc::channel();
         thread::spawn(move || stopped_tx.send(old.stop().is_ok()));
         assert_eq!(stopped.recv_timeout(Duration::from_secs(5)), Ok(true));
         drop(crate::Client::connect(&sock, 1, 0).expect("the new server still answers"));
         new.stop().unwrap();
+    }
+
+    /// A live server's socket is not another server's to take: `bind`
+    /// must fail with `AddrInUse`, and the live server must still answer
+    /// on the path.
+    #[test]
+    fn bind_refuses_a_live_servers_socket() {
+        let sock =
+            std::env::temp_dir().join(format!("confluence-serve-live-{}.sock", std::process::id()));
+        let live = Server::bind(&sock, Arc::new(IdleHost)).unwrap().spawn();
+        let err = Server::bind(&sock, Arc::new(IdleHost))
+            .err()
+            .expect("binding over a live server's socket must fail");
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
+        drop(crate::Client::connect(&sock, 1, 0).expect("the live server still answers"));
+        live.stop().unwrap();
+    }
+
+    /// A socket file nobody answers on is a crashed server's leftover:
+    /// `bind` replaces it.
+    #[test]
+    fn bind_replaces_a_stale_socket() {
+        let sock = std::env::temp_dir().join(format!(
+            "confluence-serve-stale-{}.sock",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&sock);
+        drop(UnixListener::bind(&sock).unwrap());
+        let server = Server::bind(&sock, Arc::new(IdleHost)).unwrap().spawn();
+        drop(crate::Client::connect(&sock, 1, 0).expect("the new server answers"));
+        server.stop().unwrap();
     }
 
     /// A path that holds anything but a socket is not the server's to

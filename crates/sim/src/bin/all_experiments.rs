@@ -1,11 +1,12 @@
-//! Runs every table/figure reproduction through one shared [`SimEngine`]
-//! and prints the full suite.
+//! Runs every table/figure reproduction through one shared
+//! [`confluence_sim::SimEngine`] and prints the full suite.
 //!
-//! All figures' jobs are batched and executed on the engine's worker pool
-//! first — most expensive first, one job per worker — with each unique
-//! `(workload, design/BTB-spec, options)` simulation run exactly once
-//! across the whole suite; the
-//! figures then format from the warm cache. With a persistent store
+//! The jobs every report reads are planned from the reports themselves
+//! (`confluence_sim::experiments::plan`), batched and executed on the
+//! engine's worker pool first — most expensive first, one job per
+//! worker — with each unique `(workload, design/BTB-spec, options)`
+//! simulation run exactly once across the whole suite; the figures then
+//! format from the warm cache. With a persistent store
 //! attached (`--store-dir`, or `CONFLUENCE_STORE=DIR`), results also
 //! survive the process: a second run against the same store executes
 //! nothing and emits byte-identical reports. `--compare-serial` re-runs
@@ -28,9 +29,5 @@ fn main() {
         cli::ENGINE_FLAGS,
         &[cli::COMPARE_SERIAL, cli::CONNECT],
     ])
-    .run_reports(
-        "across figures",
-        experiments::all_jobs,
-        experiments::suite_reports,
-    );
+    .run_reports("across figures", experiments::suite_reports);
 }

@@ -14,7 +14,9 @@
 //! `--connect`, so a shell that exports `CONFLUENCE_CONNECT` for its
 //! clients can still start it. The socket is bound before any workload
 //! is generated, so a path that cannot be bound (a regular file, a
-//! missing directory) exits 2 like any other argument error.
+//! missing directory, the socket of a daemon still running) exits 2
+//! like any other argument error. A socket file no daemon answers on is
+//! a crashed daemon's leftover and is replaced.
 //!
 //! `--peer SOCK` (repeatable) names other daemons forming a **remote
 //! warm tier**: a key that misses this daemon's memory and disk is

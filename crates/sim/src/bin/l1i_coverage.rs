@@ -1,7 +1,7 @@
-//! Regenerates the paper's l1i_coverage result through a [`confluence_sim::SimEngine`].
-//! Flags: listed by the usage line printed on any argument error (see
-//! [`confluence_sim::cli::run_figure`]); `CONFLUENCE_STORE=DIR` also
-//! enables the store.
+//! Regenerates the paper's l1i_coverage result: [`confluence_sim::cli::run_figure`]
+//! runs the jobs its formatter reads as one batch, then prints the report.
+//! Flags: listed by the usage line printed on any argument error;
+//! `CONFLUENCE_STORE=DIR` also enables the store.
 
 fn main() {
     confluence_sim::cli::run_figure(confluence_sim::experiments::l1i_coverage);

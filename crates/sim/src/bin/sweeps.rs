@@ -37,7 +37,6 @@ fn main() {
     let studies = cli.studies(sweeps::find, sweeps::registry);
     cli.run_reports(
         &format!("across {} studies", studies.len()),
-        |engine, cfg| studies.iter().flat_map(|s| s.jobs(engine, cfg)).collect(),
-        |engine, cfg| studies.iter().map(|s| s.report(engine, cfg)).collect(),
+        |results, cfg| studies.iter().map(|s| s.report(results, cfg)).collect(),
     );
 }

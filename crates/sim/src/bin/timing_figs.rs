@@ -13,25 +13,7 @@
 //! argument error.
 
 use confluence_sim::cli;
-use confluence_sim::experiments::{self, ExperimentConfig, FIG2_DESIGNS, FIG6_DESIGNS};
-use confluence_sim::report::Report;
-use confluence_sim::SimEngine;
-
-fn figure_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<confluence_sim::Job> {
-    // Batch all three figures' jobs so shared design points run once.
-    let mut jobs = experiments::fig_perf_area_jobs(engine, &FIG2_DESIGNS, cfg);
-    jobs.extend(experiments::fig_perf_area_jobs(engine, &FIG6_DESIGNS, cfg));
-    jobs.extend(experiments::fig7_jobs(engine, cfg));
-    jobs
-}
-
-fn figures(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Report> {
-    vec![
-        experiments::fig2(engine, cfg),
-        experiments::fig6(engine, cfg),
-        experiments::fig7(engine, cfg),
-    ]
-}
+use confluence_sim::experiments::{fig2, fig6, fig7};
 
 fn main() {
     cli::parse(&[
@@ -39,5 +21,7 @@ fn main() {
         cli::ENGINE_FLAGS,
         &[cli::COMPARE_SERIAL, cli::CONNECT],
     ])
-    .run_reports("for 3 timing figures", figure_jobs, figures);
+    .run_reports("for 3 timing figures", |results, cfg| {
+        vec![fig2(results, cfg), fig6(results, cfg), fig7(results, cfg)]
+    });
 }

@@ -15,7 +15,7 @@
 //!
 //! The checked [`Cli`] then builds the engine ([`Cli::engine`]), runs a
 //! batch in process or on a `--connect` daemon ([`Cli::run_jobs`]), and
-//! drives a whole multi-report binary ([`Cli::run_reports`]). A run
+//! drives a whole report binary ([`Cli::run_reports`]). A run
 //! ends with one stderr line, [`cache_summary`], rendered from one
 //! [`EngineStats`]: this process's engine's, or the daemon's for the
 //! batch.
@@ -41,8 +41,8 @@ use confluence_store::ResultStore;
 use confluence_trace::ExecMode;
 
 use crate::codec::SCHEMA_VERSION;
-use crate::engine::SimEngine;
-use crate::experiments::{unique_jobs, ExperimentConfig};
+use crate::engine::{Results, SimEngine};
+use crate::experiments::{plan, unique_jobs, ExperimentConfig};
 use crate::job::Job;
 use crate::peers::{PeerSet, DEFAULT_PEER_TIMEOUT};
 use crate::report::Report;
@@ -490,12 +490,12 @@ impl Cli {
         }
     }
 
-    /// The whole main of a multi-report binary: build the engine, run
-    /// the batch `jobs` builds (in process or on the `--connect` daemon,
-    /// see [`Cli::run_jobs`]), print every report `reports` formats from
-    /// the warm cache, apply the store cap and print the cache summary.
-    /// `context` names the batch in the announcement ("across figures",
-    /// "across 6 studies", ...).
+    /// The whole main of a report binary: build the engine, run the
+    /// batch the reports read ([`plan`]; in process or on the `--connect`
+    /// daemon, see [`Cli::run_jobs`]), print every report `reports`
+    /// formats from the warm cache, apply the store cap and print the
+    /// cache summary. `context` names the batch in the announcement
+    /// ("across figures", "across 6 studies", ...).
     ///
     /// Asserts the engine's headline contract — every unique simulation
     /// ran exactly once or came from the persistent store — and that
@@ -504,11 +504,12 @@ impl Cli {
     pub fn run_reports(
         mut self,
         context: &str,
-        jobs: impl FnOnce(&SimEngine, &ExperimentConfig) -> Vec<Job>,
-        reports: impl Fn(&SimEngine, &ExperimentConfig) -> Vec<Report>,
+        reports: impl Fn(&dyn Results, &ExperimentConfig) -> Vec<Report>,
     ) {
         let engine = self.engine();
-        let jobs = jobs(&engine, &self.cfg);
+        let jobs = plan(&engine.workload_list(), |results| {
+            reports(results, &self.cfg)
+        });
         let unique = unique_jobs(&jobs);
         let batch = format!(
             "{unique} unique simulations ({} requested {context})",
@@ -569,19 +570,13 @@ impl Cli {
     }
 }
 
-/// The whole main of a single-figure binary: parse the shared flags,
-/// build the engine, print the figure `figure` formats, and print the
-/// cache summary to stderr. The nine `figN`-style binaries differ only
-/// in the formatter they pass.
-pub fn run_figure(figure: fn(&SimEngine, &ExperimentConfig) -> Report) {
-    let mut cli = parse(&[OUTPUT_FLAGS, ENGINE_FLAGS]);
-    let engine = cli.engine();
-    println!("{}", cli.render(&figure(&engine, &cli.cfg)));
-    engine.apply_store_cap(cli.store_cap);
-    eprintln!(
-        "{}",
-        cache_summary("cache", &engine.stats(), engine.store())
-    );
+/// The whole main of a single-figure binary: [`Cli::run_reports`] over
+/// the one report `figure` formats, with the shared output and engine
+/// flags. The nine `figN`-style binaries differ only in the formatter
+/// they pass.
+pub fn run_figure(figure: fn(&dyn Results, &ExperimentConfig) -> Report) {
+    parse(&[OUTPUT_FLAGS, ENGINE_FLAGS])
+        .run_reports("for one figure", |r, cfg| vec![figure(r, cfg)]);
 }
 
 /// The `--compare-serial` tail of [`Cli::run_reports`]: re-run the same

@@ -320,8 +320,9 @@ pub fn branch_density(program: &Program, instrs: u64, seed: u64) -> (f64, f64) {
 
 /// [`branch_density`] through an explicit execution path.
 ///
-/// Shares [`BlockResidency`] with the coverage harness, so both define a
-/// block touch (and therefore a residency) identically.
+/// Shares its block-touch filter (`BlockResidency`) with the coverage
+/// harness, so both define a block touch (and therefore a residency)
+/// identically.
 pub fn branch_density_mode(
     program: &Program,
     instrs: u64,

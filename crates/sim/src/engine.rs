@@ -79,6 +79,26 @@ struct Cache {
     stats: EngineStats,
 }
 
+/// What every report reads: the workloads it covers and the result of
+/// each job it names. [`SimEngine`] answers from its cache;
+/// [`crate::experiments::plan`] answers with empty results and records
+/// the reads, which is how a report's batch is derived from the report
+/// itself. A report's reads must therefore depend only on its
+/// configuration, never on the results it reads.
+pub trait Results {
+    /// The workloads to report on, in presentation order.
+    fn workload_list(&self) -> Vec<Workload>;
+
+    /// Result of a coverage job.
+    fn coverage(&self, job: &CoverageJob) -> CoverageResult;
+
+    /// Result of a timing job.
+    fn timing(&self, job: &TimingJob) -> Arc<TimingResult>;
+
+    /// `(static, dynamic)` densities of a density job.
+    fn density(&self, job: &DensityJob) -> (f64, f64);
+}
+
 /// Parallel memoizing executor for simulation jobs.
 pub struct SimEngine {
     workloads: Vec<(Workload, Arc<Program>)>,
@@ -253,27 +273,10 @@ impl SimEngine {
         });
     }
 
-    /// Result of a coverage job (computed now if absent).
-    pub fn coverage(&self, job: &CoverageJob) -> CoverageResult {
-        match &*self.fetch(&Job::Coverage(job.clone())) {
-            JobOutput::Coverage(r) => *r,
-            other => unreachable!("coverage job produced {other:?}"),
-        }
-    }
-
-    /// Result of a timing job (computed now if absent), shared straight
-    /// out of the cache.
-    pub fn timing(&self, job: &TimingJob) -> Arc<TimingResult> {
-        match &*self.fetch(&Job::Timing(job.clone())) {
-            JobOutput::Timing(r) => Arc::clone(r),
-            other => unreachable!("timing job produced {other:?}"),
-        }
-    }
-
     /// Result of any job by key (computed now if absent), shared straight
     /// out of the cache. The daemon's entry point: one method serving
     /// whatever an encoded request decodes to, with the same memoization
-    /// and in-flight dedup as the typed accessors.
+    /// and in-flight dedup as the typed [`Results`] reads.
     pub fn output(&self, job: &Job) -> Arc<JobOutput> {
         self.fetch(job)
     }
@@ -288,15 +291,6 @@ impl SimEngine {
             let slot = Arc::new(Slot::new());
             slot.fill(Ok(Arc::new(output)));
             v.insert(slot);
-        }
-    }
-
-    /// `(static, dynamic)` densities of a density job (computed now if
-    /// absent).
-    pub fn density(&self, job: &DensityJob) -> (f64, f64) {
-        match &*self.fetch(&Job::Density(job.clone())) {
-            JobOutput::Density(s, d) => (*s, *d),
-            other => unreachable!("density job produced {other:?}"),
         }
     }
 
@@ -528,6 +522,35 @@ impl SimEngine {
                 let (s, dy) = branch_density_mode(program, d.instrs, d.seed, self.mode);
                 JobOutput::Density(s, dy)
             }
+        }
+    }
+}
+
+/// The engine's cache as report input: each read is the job's result,
+/// computed now if absent.
+impl Results for SimEngine {
+    fn workload_list(&self) -> Vec<Workload> {
+        self.workloads.iter().map(|(w, _)| *w).collect()
+    }
+
+    fn coverage(&self, job: &CoverageJob) -> CoverageResult {
+        match &*self.fetch(&Job::Coverage(job.clone())) {
+            JobOutput::Coverage(r) => *r,
+            other => unreachable!("coverage job produced {other:?}"),
+        }
+    }
+
+    fn timing(&self, job: &TimingJob) -> Arc<TimingResult> {
+        match &*self.fetch(&Job::Timing(job.clone())) {
+            JobOutput::Timing(r) => Arc::clone(r),
+            other => unreachable!("timing job produced {other:?}"),
+        }
+    }
+
+    fn density(&self, job: &DensityJob) -> (f64, f64) {
+        match &*self.fetch(&Job::Density(job.clone())) {
+            JobOutput::Density(s, d) => (*s, *d),
+            other => unreachable!("density job produced {other:?}"),
         }
     }
 }

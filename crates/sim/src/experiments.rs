@@ -1,32 +1,31 @@
 //! Experiment runners: one function per table/figure of the paper.
 //!
-//! Each figure is split into two pure halves that meet at the
-//! [`SimEngine`](crate::SimEngine) cache:
+//! Each figure is one **formatter** (`fig8`, …): it reads the results
+//! it needs through [`Results`] and lays out the rows the paper reports
+//! as a [`Report`]. The formatter is also the figure's job list:
+//! [`plan`] runs it against a recorder and returns every content-keyed
+//! [`Job`] it read, so no figure names its jobs twice.
 //!
-//! - a **job builder** (`fig8_jobs`, …) declaring the unique simulations
-//!   the figure needs as content-keyed [`Job`]s;
-//! - a **formatter** (`fig8`, …) that reads the cached results and lays
-//!   out the same rows/series the paper reports as a [`Report`].
-//!
-//! Formatters fetch through the engine, so calling one directly still
-//! works — missing jobs are computed on demand — but batching the jobs
-//! first (`engine.run(&all_jobs(..))`, as the `all_experiments` binary
-//! does) executes everything on the worker pool with each unique
-//! simulation run exactly once across all figures: the 1K-baseline
-//! coverage run is shared by Figures 8/9/10 and the L1-I table, and the
-//! Baseline timing run is shared by Figures 2/6/7 and each figure's own
-//! normalization row.
+//! A binary plans its reports, runs the batch on the engine's worker
+//! pool (`engine.run(&all_jobs(..))` for the whole suite), then formats
+//! from the warm cache. Each unique simulation runs exactly once across
+//! all figures: the 1K-baseline coverage run is shared by Figures
+//! 8/9/10 and the L1-I table, and the Baseline timing run is shared by
+//! Figures 2/6/7 and each figure's own normalization row. A formatter
+//! called on a cold [`SimEngine`] still works: each missing result is
+//! computed on demand, one at a time.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use confluence_area::AreaModel;
 use confluence_trace::{Program, Workload};
 use confluence_uarch::MemParams;
 
-use crate::cmp::TimingConfig;
-use crate::coverage::CoverageOptions;
+use crate::cmp::{TimingConfig, TimingResult};
+use crate::coverage::{CoverageOptions, CoverageResult};
 use crate::designs::DesignPoint;
-use crate::engine::SimEngine;
+use crate::engine::{Results, SimEngine};
 use crate::job::{BtbSpec, CoverageJob, DensityJob, Job, TimingJob};
 use crate::report::{f, pct, Report};
 use crate::sweeps::{baseline_job, capacity_job, geometry_job, history_job};
@@ -218,42 +217,21 @@ fn baseline_timing_job(workload: Workload, cfg: &ExperimentConfig) -> TimingJob 
 
 const FIG1_CAPACITIES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
-/// Jobs for Figure 1.
-pub fn fig1_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for (w, _) in engine.workloads() {
-        for k in FIG1_CAPACITIES {
-            jobs.push(capacity_job(*w, k * 1024, cfg).into());
-        }
-    }
-    jobs
-}
-
 /// Figure 1: BTB MPKI as a function of BTB capacity (1K-32K entries).
-pub fn fig1(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
-    engine.run(&fig1_jobs(engine, cfg));
+pub fn fig1(results: &dyn Results, cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new(
         "Figure 1: BTB MPKI vs capacity (conventional BTB, kilo-entries)",
         &["workload", "1K", "2K", "4K", "8K", "16K", "32K"],
     );
-    for (w, _) in engine.workloads() {
+    for w in results.workload_list() {
         let mut cells = vec![w.name().to_string()];
         for k in FIG1_CAPACITIES {
-            let r = engine.coverage(&capacity_job(*w, k * 1024, cfg));
+            let r = results.coverage(&capacity_job(w, k * 1024, cfg));
             cells.push(f(r.btb_mpki(), 1));
         }
         report.row(cells);
     }
     report
-}
-
-/// Jobs for Table 2.
-pub fn table2_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
-    engine
-        .workloads()
-        .iter()
-        .map(|(w, _)| density_job(*w, cfg).into())
-        .collect()
 }
 
 /// The paper's published Table 2 `(static, dynamic)` densities, keyed by
@@ -270,8 +248,7 @@ fn table2_paper_densities(workload: Workload) -> (f64, f64) {
 }
 
 /// Table 2: static and dynamic branch density in demand-fetched blocks.
-pub fn table2(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
-    engine.run(&table2_jobs(engine, cfg));
+pub fn table2(results: &dyn Results, cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new(
         "Table 2: branch density per 64B block (measured vs paper)",
         &[
@@ -282,9 +259,9 @@ pub fn table2(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
             "dynamic(paper)",
         ],
     );
-    for (w, _) in engine.workloads() {
-        let (stat, dynamic) = engine.density(&density_job(*w, cfg));
-        let (paper_stat, paper_dyn) = table2_paper_densities(*w);
+    for w in results.workload_list() {
+        let (stat, dynamic) = results.density(&density_job(w, cfg));
+        let (paper_stat, paper_dyn) = table2_paper_densities(w);
         report.row(vec![
             w.name().to_string(),
             f(stat, 2),
@@ -303,23 +280,10 @@ const FIG8_LADDER: [AirBtbMode; 4] = [
     AirBtbMode::Full,
 ];
 
-/// Jobs for Figure 8 (the baseline coverage run plus the ablation ladder).
-pub fn fig8_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for (w, _) in engine.workloads() {
-        jobs.push(baseline_job(*w, cfg).into());
-        for mode in FIG8_LADDER {
-            jobs.push(ablation_job(*w, mode, cfg).into());
-        }
-    }
-    jobs
-}
-
 /// Figure 8: breakdown of AirBTB miss-coverage benefits over the 1K-entry
 /// conventional BTB (Capacity, +Spatial Locality, +Prefetching,
 /// +Block-Based Organization).
-pub fn fig8(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
-    engine.run(&fig8_jobs(engine, cfg));
+pub fn fig8(results: &dyn Results, cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new(
         "Figure 8: AirBTB coverage breakdown vs 1K conventional BTB \
          (cumulative factors; paper avg: 18% / +57% / +7% / +11% = 93%)",
@@ -331,11 +295,11 @@ pub fn fig8(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
             "+block org (total)",
         ],
     );
-    for (w, _) in engine.workloads() {
-        let rb = engine.coverage(&baseline_job(*w, cfg));
+    for w in results.workload_list() {
+        let rb = results.coverage(&baseline_job(w, cfg));
         let mut cells = vec![w.name().to_string()];
         for mode in FIG8_LADDER {
-            let r = engine.coverage(&ablation_job(*w, mode, cfg));
+            let r = results.coverage(&ablation_job(w, mode, cfg));
             cells.push(pct(r.btb_miss_coverage_vs(&rb)));
         }
         report.row(cells);
@@ -343,32 +307,19 @@ pub fn fig8(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
     report
 }
 
-/// Jobs for Figure 9.
-pub fn fig9_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for (w, _) in engine.workloads() {
-        jobs.push(baseline_job(*w, cfg).into());
-        jobs.push(phantom_job(*w, cfg).into());
-        jobs.push(geometry_job(*w, (DEFAULT_BUNDLES, 3, 32), cfg).into());
-        jobs.push(large16k_job(*w, cfg).into());
-    }
-    jobs
-}
-
 /// Figure 9: BTB misses eliminated vs the 1K-entry conventional BTB for
 /// PhantomBTB, AirBTB (Confluence), and a 16K conventional BTB.
-pub fn fig9(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
-    engine.run(&fig9_jobs(engine, cfg));
+pub fn fig9(results: &dyn Results, cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new(
         "Figure 9: BTB miss coverage vs 1K conventional BTB \
          (paper avg: PhantomBTB 61%, AirBTB 93%, 16K BTB 95%)",
         &["workload", "PhantomBTB", "AirBTB", "16K BTB"],
     );
-    for (w, _) in engine.workloads() {
-        let rb = engine.coverage(&baseline_job(*w, cfg));
-        let rp = engine.coverage(&phantom_job(*w, cfg));
-        let ra = engine.coverage(&geometry_job(*w, (DEFAULT_BUNDLES, 3, 32), cfg));
-        let r16 = engine.coverage(&large16k_job(*w, cfg));
+    for w in results.workload_list() {
+        let rb = results.coverage(&baseline_job(w, cfg));
+        let rp = results.coverage(&phantom_job(w, cfg));
+        let ra = results.coverage(&geometry_job(w, (DEFAULT_BUNDLES, 3, 32), cfg));
+        let r16 = results.coverage(&large16k_job(w, cfg));
         report.row(vec![
             w.name().to_string(),
             pct(rp.btb_miss_coverage_vs(&rb)),
@@ -381,32 +332,19 @@ pub fn fig9(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
 
 const FIG10_CONFIGS: [(usize, usize); 4] = [(3, 0), (3, 32), (4, 0), (4, 32)];
 
-/// Jobs for Figure 10.
-pub fn fig10_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for (w, _) in engine.workloads() {
-        jobs.push(baseline_job(*w, cfg).into());
-        for (b, ob) in FIG10_CONFIGS {
-            jobs.push(geometry_job(*w, (DEFAULT_BUNDLES, b, ob), cfg).into());
-        }
-    }
-    jobs
-}
-
 /// Figure 10: AirBTB sensitivity to bundle size (B) and overflow buffer
 /// entries (OB).
-pub fn fig10(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
-    engine.run(&fig10_jobs(engine, cfg));
+pub fn fig10(results: &dyn Results, cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new(
         "Figure 10: AirBTB miss coverage for (B, OB) configurations \
          (paper: B:3/OB:0 can be negative; B:3/OB:32 = 93%; B:4/OB:32 = +2%)",
         &["workload", "B:3,OB:0", "B:3,OB:32", "B:4,OB:0", "B:4,OB:32"],
     );
-    for (w, _) in engine.workloads() {
-        let rb = engine.coverage(&baseline_job(*w, cfg));
+    for w in results.workload_list() {
+        let rb = results.coverage(&baseline_job(w, cfg));
         let mut cells = vec![w.name().to_string()];
         for (b, ob) in FIG10_CONFIGS {
-            let r = engine.coverage(&geometry_job(*w, (DEFAULT_BUNDLES, b, ob), cfg));
+            let r = results.coverage(&geometry_job(w, (DEFAULT_BUNDLES, b, ob), cfg));
             cells.push(pct(r.btb_miss_coverage_vs(&rb)));
         }
         report.row(cells);
@@ -414,27 +352,16 @@ pub fn fig10(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
     report
 }
 
-/// Jobs for the L1-I coverage table.
-pub fn l1i_coverage_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for (w, _) in engine.workloads() {
-        jobs.push(baseline_job(*w, cfg).into());
-        jobs.push(history_job(*w, DEFAULT_HISTORY_ENTRIES, cfg).into());
-    }
-    jobs
-}
-
 /// Supplementary: SHIFT's L1-I miss coverage (paper Section 5.1 cites
 /// ~85-90% of L1-I misses eliminated).
-pub fn l1i_coverage(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
-    engine.run(&l1i_coverage_jobs(engine, cfg));
+pub fn l1i_coverage(results: &dyn Results, cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new(
         "SHIFT L1-I miss coverage vs no prefetching (paper: ~90%)",
         &["workload", "base L1-I MPKI", "SHIFT L1-I MPKI", "coverage"],
     );
-    for (w, _) in engine.workloads() {
-        let rb = engine.coverage(&baseline_job(*w, cfg));
-        let rs = engine.coverage(&history_job(*w, DEFAULT_HISTORY_ENTRIES, cfg));
+    for w in results.workload_list() {
+        let rb = results.coverage(&baseline_job(w, cfg));
+        let rs = results.coverage(&history_job(w, DEFAULT_HISTORY_ENTRIES, cfg));
         report.row(vec![
             w.name().to_string(),
             f(rb.l1i_mpki(), 1),
@@ -466,23 +393,6 @@ pub const FIG6_DESIGNS: [DesignPoint; 7] = [
     DesignPoint::Ideal,
 ];
 
-/// Jobs for a perf/area figure over `designs` (always including the
-/// Baseline normalization run — which *is* the Baseline row's run).
-pub fn fig_perf_area_jobs(
-    engine: &SimEngine,
-    designs: &[DesignPoint],
-    cfg: &ExperimentConfig,
-) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for (w, _) in engine.workloads() {
-        jobs.push(baseline_timing_job(*w, cfg).into());
-        for &d in designs {
-            jobs.push(timing_job(*w, d, cfg).into());
-        }
-    }
-    jobs
-}
-
 /// Figures 2 and 6: relative performance and relative per-core area of the
 /// frontend designs, normalized to the baseline (geometric mean across
 /// workloads).
@@ -491,12 +401,11 @@ pub fn fig_perf_area_jobs(
 /// key, so the design that used to be simulated twice per workload is now
 /// structurally simulated once.
 pub fn fig_perf_area(
-    engine: &SimEngine,
+    results: &dyn Results,
     designs: &[DesignPoint],
     cfg: &ExperimentConfig,
     caption: &str,
 ) -> Report {
-    engine.run(&fig_perf_area_jobs(engine, designs, cfg));
     let mut report = Report::new(
         caption.to_string(),
         &[
@@ -510,25 +419,33 @@ pub fn fig_perf_area(
     let area = AreaModel::paper();
     let base_profile = DesignPoint::Baseline.storage_profile();
 
-    // Baseline IPC per workload for normalization — the same cached runs
-    // back the Baseline row below.
-    let base_ipc: Vec<f64> = engine
-        .workloads()
-        .iter()
-        .map(|(w, _)| engine.timing(&baseline_timing_job(*w, cfg)).ipc())
+    // The reads are the figure's batch, in the order the benchmark runs
+    // it (`all_jobs_is_pinned`): per workload the Baseline run (the
+    // normalization denominator, and the same cached run as the Baseline
+    // row), then every design's run.
+    let runs: Vec<(f64, Vec<Arc<TimingResult>>)> = results
+        .workload_list()
+        .into_iter()
+        .map(|w| {
+            let base_ipc = results.timing(&baseline_timing_job(w, cfg)).ipc();
+            let runs = designs
+                .iter()
+                .map(|&d| results.timing(&timing_job(w, d, cfg)));
+            (base_ipc, runs.collect())
+        })
         .collect();
 
-    for &d in designs {
+    for (i, &d) in designs.iter().enumerate() {
         let mut rel_product = 1.0;
         let mut btb_mpki = 0.0;
         let mut l1i_mpki = 0.0;
-        for (i, (w, _)) in engine.workloads().iter().enumerate() {
-            let r = engine.timing(&timing_job(*w, d, cfg));
-            rel_product *= r.ipc() / base_ipc[i];
+        for (base_ipc, design_runs) in &runs {
+            let r = &design_runs[i];
+            rel_product *= r.ipc() / base_ipc;
             btb_mpki += r.btb_mpki();
             l1i_mpki += r.l1i_mpki();
         }
-        let n = engine.workloads().len() as f64;
+        let n = runs.len() as f64;
         let geo = rel_product.powf(1.0 / n);
         let rel_area = area.relative_area(&d.storage_profile(), &base_profile);
         report.row(vec![
@@ -543,9 +460,9 @@ pub fn fig_perf_area(
 }
 
 /// Figure 2 wrapper.
-pub fn fig2(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
+pub fn fig2(results: &dyn Results, cfg: &ExperimentConfig) -> Report {
     fig_perf_area(
-        engine,
+        results,
         &FIG2_DESIGNS,
         cfg,
         "Figure 2: relative performance & area of conventional frontends \
@@ -554,9 +471,9 @@ pub fn fig2(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
 }
 
 /// Figure 6 wrapper.
-pub fn fig6(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
+pub fn fig6(results: &dyn Results, cfg: &ExperimentConfig) -> Report {
     fig_perf_area(
-        engine,
+        results,
         &FIG6_DESIGNS,
         cfg,
         "Figure 6: relative performance & area including Confluence \
@@ -571,22 +488,9 @@ const FIG7_DESIGNS: [DesignPoint; 4] = [
     DesignPoint::IdealBtbShift,
 ];
 
-/// Jobs for Figure 7.
-pub fn fig7_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for (w, _) in engine.workloads() {
-        jobs.push(baseline_timing_job(*w, cfg).into());
-        for d in FIG7_DESIGNS {
-            jobs.push(timing_job(*w, d, cfg).into());
-        }
-    }
-    jobs
-}
-
 /// Figure 7: per-workload speedup of BTB designs (all coupled with SHIFT)
 /// over the 1K-entry conventional BTB + SHIFT.
-pub fn fig7(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
-    engine.run(&fig7_jobs(engine, cfg));
+pub fn fig7(results: &dyn Results, cfg: &ExperimentConfig) -> Report {
     let mut report = Report::new(
         "Figure 7: speedup of BTB designs (each coupled with SHIFT) over the \
          1K-entry conventional-BTB baseline \
@@ -599,11 +503,11 @@ pub fn fig7(engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
             "IdealBTB+SHIFT",
         ],
     );
-    for (w, _) in engine.workloads() {
-        let base = engine.timing(&baseline_timing_job(*w, cfg));
+    for w in results.workload_list() {
+        let base = results.timing(&baseline_timing_job(w, cfg));
         let mut cells = vec![w.name().to_string()];
         for d in FIG7_DESIGNS {
-            let r = engine.timing(&timing_job(*w, d, cfg));
+            let r = results.timing(&timing_job(w, d, cfg));
             cells.push(f(r.speedup_over(&base), 3));
         }
         report.row(cells);
@@ -645,24 +549,68 @@ pub fn area_table() -> Report {
     report
 }
 
-/// Every job any figure or table in the suite needs, in one batch. The
-/// engine collapses the overlap (coverage baselines shared by Figures
-/// 8/9/10 + L1-I, timing runs shared by Figures 2/6/7), so one
-/// `engine.run(&all_jobs(..))` executes each unique simulation exactly
-/// once.
+/// The batch `report` needs: every job it reads, in read order with
+/// repeats kept. `report` runs against a recorder that logs each read
+/// and answers it with an empty result (zero counters, zero densities,
+/// a timing run with no cores), so its output is meaningless and is
+/// dropped. Run the batch and `report` then formats from a warm cache.
+/// That holds because a report's reads depend only on its
+/// configuration, never on the results it reads.
+pub fn plan<R>(workloads: &[Workload], report: impl FnOnce(&dyn Results) -> R) -> Vec<Job> {
+    let recorder = Recorder {
+        workloads: workloads.to_vec(),
+        reads: RefCell::default(),
+    };
+    report(&recorder);
+    recorder.reads.into_inner()
+}
+
+/// The [`Results`] behind [`plan`].
+struct Recorder {
+    workloads: Vec<Workload>,
+    reads: RefCell<Vec<Job>>,
+}
+
+impl Recorder {
+    fn log(&self, job: impl Into<Job>) {
+        self.reads.borrow_mut().push(job.into());
+    }
+}
+
+impl Results for Recorder {
+    fn workload_list(&self) -> Vec<Workload> {
+        self.workloads.clone()
+    }
+
+    fn coverage(&self, job: &CoverageJob) -> CoverageResult {
+        self.log(job.clone());
+        CoverageResult::default()
+    }
+
+    fn timing(&self, job: &TimingJob) -> Arc<TimingResult> {
+        self.log(job.clone());
+        Arc::new(TimingResult {
+            design: job.design,
+            per_core: Vec::new(),
+            total_cycles: 0,
+        })
+    }
+
+    fn density(&self, job: &DensityJob) -> (f64, f64) {
+        self.log(job.clone());
+        (0.0, 0.0)
+    }
+}
+
+/// Every job any figure, table or sweep in the suite needs, in one
+/// batch: [`plan`] over [`suite_reports`]. The engine collapses the
+/// overlap (coverage baselines shared by Figures 8/9/10 + L1-I, timing
+/// runs shared by Figures 2/6/7), so one `engine.run(&all_jobs(..))`
+/// executes each unique simulation exactly once.
 pub fn all_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    jobs.extend(fig1_jobs(engine, cfg));
-    jobs.extend(table2_jobs(engine, cfg));
-    jobs.extend(fig8_jobs(engine, cfg));
-    jobs.extend(fig9_jobs(engine, cfg));
-    jobs.extend(fig10_jobs(engine, cfg));
-    jobs.extend(l1i_coverage_jobs(engine, cfg));
-    jobs.extend(fig_perf_area_jobs(engine, &FIG2_DESIGNS, cfg));
-    jobs.extend(fig_perf_area_jobs(engine, &FIG6_DESIGNS, cfg));
-    jobs.extend(fig7_jobs(engine, cfg));
-    jobs.extend(crate::sweeps::all_sweep_jobs(engine, cfg));
-    jobs
+    plan(&engine.workload_list(), |results| {
+        suite_reports(results, cfg)
+    })
 }
 
 /// Number of distinct keys in a job list (what a fully shared run
@@ -676,26 +624,29 @@ pub fn unique_jobs(jobs: &[Job]) -> usize {
 /// first so the formatters here read a warm cache; the warm-store
 /// determinism test renders this twice (fresh engine, same store) and
 /// asserts byte-identical output with zero executions.
-pub fn suite_reports(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Report> {
+pub fn suite_reports(results: &dyn Results, cfg: &ExperimentConfig) -> Vec<Report> {
     let mut reports = vec![
-        fig1(engine, cfg),
-        table2(engine, cfg),
-        fig8(engine, cfg),
-        fig9(engine, cfg),
-        fig10(engine, cfg),
-        l1i_coverage(engine, cfg),
+        fig1(results, cfg),
+        table2(results, cfg),
+        fig8(results, cfg),
+        fig9(results, cfg),
+        fig10(results, cfg),
+        l1i_coverage(results, cfg),
         area_table(),
-        fig2(engine, cfg),
-        fig6(engine, cfg),
-        fig7(engine, cfg),
+        fig2(results, cfg),
+        fig6(results, cfg),
+        fig7(results, cfg),
     ];
-    reports.extend(crate::sweeps::sweep_reports(engine, cfg));
+    reports.extend(crate::sweeps::sweep_reports(results, cfg));
     reports
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use confluence_store::wire::fnv1a;
+    use confluence_store::Encode;
+    use confluence_trace::WorkloadSpec;
 
     fn quick_engine() -> (SimEngine, ExperimentConfig) {
         // Two workloads keep test time sane.
@@ -776,6 +727,41 @@ mod tests {
         let before = engine.stats().executed;
         l1i_coverage(&engine, &cfg);
         assert_eq!(engine.stats().executed - before, n);
+    }
+
+    #[test]
+    fn plan_returns_reads_in_order_with_repeats() {
+        let cfg = ExperimentConfig::quick();
+        let coverage = baseline_job(Workload::OltpDb2, &cfg);
+        let timing = baseline_timing_job(Workload::OltpDb2, &cfg);
+        let jobs = plan(&[Workload::OltpDb2], |results| {
+            assert_eq!(results.workload_list(), [Workload::OltpDb2]);
+            results.coverage(&coverage);
+            results.timing(&timing);
+            results.coverage(&coverage);
+        });
+        let coverage = Job::from(coverage);
+        assert_eq!(jobs, [coverage.clone(), timing.into(), coverage]);
+    }
+
+    /// `all_jobs` defines the batches the repository benchmark runs, so a
+    /// change to it must be deliberate: its length and the FNV-1a of its
+    /// concatenated job encodings are pinned at both scales. The list
+    /// reads only the engine's workload names, so one tiny program
+    /// stands in for all five.
+    #[test]
+    fn all_jobs_is_pinned() {
+        let program = Arc::new(Program::generate(&WorkloadSpec::tiny()).expect("valid spec"));
+        let workloads = Workload::ALL.map(|w| (w, Arc::clone(&program)));
+        let engine = SimEngine::new(workloads.to_vec());
+        for (cfg, hash) in [
+            (ExperimentConfig::quick(), 0x29f6_8d27_9f0f_ca24),
+            (ExperimentConfig::full(), 0xb5e9_8f5e_d4a9_548e),
+        ] {
+            let jobs = all_jobs(&engine, &cfg);
+            let bytes: Vec<u8> = jobs.iter().flat_map(Encode::to_bytes).collect();
+            assert_eq!((jobs.len(), fnv1a(&bytes)), (390, hash), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub use coverage::{
     run_coverage_with_mode, CoverageOptions, CoverageResult, DEFAULT_L1I_KB,
 };
 pub use designs::{airbtb_ablation, DesignPoint, PrefetchScheme};
-pub use engine::SimEngine;
+pub use engine::{Results, SimEngine};
 pub use job::{BtbSpec, CoverageJob, DensityJob, Job, JobOutput, TimingJob};
 pub use peers::{PeerSet, DEFAULT_PEER_TIMEOUT};
 pub use sweeps::{SweepAxis, SweepSpec};

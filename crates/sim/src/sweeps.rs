@@ -4,25 +4,28 @@
 //! unified instruction supply holds up as SHIFT history capacity, AirBTB
 //! bundle geometry, and core count vary — but the figure runners only
 //! reproduce the published points. A [`SweepSpec`] names a **study**: a
-//! [`SweepAxis`] (which parameter is swept, and its point list) expanded
-//! by a job builder into ordinary content-keyed [`Job`]s. Because points
-//! reuse the suite's native configurations wherever they coincide (the
-//! 32K-entry SHIFT history point *is* the L1-I table's run, the
-//! 512-bundle geometry points *are* Figure 10's, and in quick mode the
-//! 4-core scaling point *is* Figures 2/6/7's Baseline), the engine
-//! cache and the persistent store dedupe overlapping points across
-//! studies and figures.
+//! [`SweepAxis`] (which parameter is swept, and its point list) whose
+//! report reads ordinary content-keyed jobs, one per workload and point.
+//! Because points reuse the suite's native configurations wherever they
+//! coincide (the 32K-entry SHIFT history point *is* the L1-I table's
+//! run, the 512-bundle geometry points *are* Figure 10's, and in quick
+//! mode the 4-core scaling point *is* Figures 2/6/7's Baseline), the
+//! engine cache and the persistent store dedupe overlapping points
+//! across studies and figures.
 //!
-//! Studies follow the same two-pure-halves shape as the figures in
-//! [`crate::experiments`]: [`SweepSpec::jobs`] declares, and
-//! [`SweepSpec::report`] formats from the warm cache. The `sweeps` binary
-//! lists and runs studies from [`registry`]; `all_experiments` batches
-//! every study alongside the figures.
+//! Studies have the same shape as the figures in [`crate::experiments`]:
+//! [`SweepSpec::report`] is the one formatter, reading through
+//! [`Results`], and [`crate::experiments::plan`] derives a study's batch
+//! from it. The `sweeps` binary lists and runs studies from
+//! [`registry`]; `all_experiments` batches every study alongside the
+//! figures.
 //!
-//! Adding a study: push a `SweepSpec` in [`registry`] (new axis variants
-//! get a `points`/`build`/`cell` arm each). The golden harness in
-//! `tests/sweeps.rs` pins each registered study's quick-mode report —
-//! regenerate with `CONFLUENCE_REGOLD=1 cargo test`.
+//! Adding a study: push a `SweepSpec` in [`registry`]. A new axis
+//! variant adds one arm each to [`SweepAxis::point_labels`] and
+//! [`SweepSpec::report`], plus its `--list` name in
+//! [`SweepAxis::parameter`]. The golden harness in `tests/sweeps.rs`
+//! pins each registered study's quick-mode report — regenerate with
+//! `CONFLUENCE_REGOLD=1 cargo test`.
 //!
 //! The per-point job constructors ([`history_job`], [`scaling_job`],
 //! [`capacity_job`], ...) are public: the `confluence-search` subsystem
@@ -35,9 +38,9 @@ use confluence_trace::Workload;
 
 use crate::coverage::CoverageOptions;
 use crate::designs::DesignPoint;
-use crate::engine::SimEngine;
+use crate::engine::Results;
 use crate::experiments::ExperimentConfig;
-use crate::job::{BtbSpec, CoverageJob, Job, TimingJob};
+use crate::job::{BtbSpec, CoverageJob, TimingJob};
 use crate::report::{f, pct, Report};
 
 /// The designs compared at every core count by the core-scaling study:
@@ -50,8 +53,8 @@ pub const SCALING_DESIGNS: [DesignPoint; 3] = [
 
 /// The swept parameter of a study, with its point list.
 ///
-/// Each variant knows how to expand one `(workload, point)` pair into a
-/// [`Job`] and how to read the study's metric back out of the cache; the
+/// Each variant's arm of [`SweepSpec::report`] reads one job per
+/// `(workload, point)` pair and formats the study's metric from it; the
 /// variants deliberately reuse the figure suite's configurations at
 /// coinciding points so the cache collapses the overlap.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,14 +105,7 @@ impl SweepAxis {
 
     /// Number of points along the axis.
     pub fn len(&self) -> usize {
-        match self {
-            SweepAxis::HistoryEntries(p) => p.len(),
-            SweepAxis::BundleGeometry(p) => p.len(),
-            SweepAxis::Cores(p) => p.len(),
-            SweepAxis::BtbCapacity(p) => p.len(),
-            SweepAxis::L1iSizeKb(p) => p.len(),
-            SweepAxis::ShiftLookahead(p) => p.len(),
-        }
+        self.point_labels().len()
     }
 
     /// True when the axis has no points.
@@ -143,8 +139,8 @@ impl std::fmt::Display for Kilo {
     }
 }
 
-/// A named sensitivity study: an axis × the suite's workloads × a job
-/// builder, riding the shared engine cache.
+/// A named sensitivity study: an axis × the suite's workloads, riding the
+/// shared engine cache.
 #[derive(Clone, Debug)]
 pub struct SweepSpec {
     /// Registry name (`sweeps --study <name>`).
@@ -260,145 +256,80 @@ pub fn capacity_job(workload: Workload, entries: usize, cfg: &ExperimentConfig) 
 }
 
 impl SweepSpec {
-    /// Expands the study into content-keyed jobs for the given workloads
-    /// (no engine required — usable by codec tests and planners).
-    pub fn jobs_for(&self, workloads: &[Workload], cfg: &ExperimentConfig) -> Vec<Job> {
-        let mut jobs = Vec::new();
-        for &w in workloads {
-            match &self.axis {
-                SweepAxis::HistoryEntries(points) => {
-                    jobs.push(baseline_job(w, cfg).into());
-                    for &n in points {
-                        jobs.push(history_job(w, n, cfg).into());
-                    }
-                }
-                SweepAxis::BundleGeometry(points) => {
-                    jobs.push(baseline_job(w, cfg).into());
-                    for &g in points {
-                        jobs.push(geometry_job(w, g, cfg).into());
-                    }
-                }
-                SweepAxis::Cores(points) => {
-                    for &c in points {
-                        for d in SCALING_DESIGNS {
-                            jobs.push(scaling_job(w, d, c, cfg).into());
-                        }
-                    }
-                }
-                SweepAxis::BtbCapacity(points) => {
-                    for &n in points {
-                        jobs.push(capacity_job(w, n, cfg).into());
-                    }
-                }
-                SweepAxis::L1iSizeKb(points) => {
-                    for &kb in points {
-                        jobs.push(l1i_size_job(w, kb, cfg).into());
-                    }
-                }
-                SweepAxis::ShiftLookahead(points) => {
-                    jobs.push(baseline_job(w, cfg).into());
-                    for &d in points {
-                        jobs.push(lookahead_job(w, d, cfg).into());
-                    }
-                }
-            }
-        }
-        jobs
-    }
-
-    /// The study's jobs over the engine's workloads.
-    pub fn jobs(&self, engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
-        let workloads: Vec<Workload> = engine.workloads().iter().map(|(w, _)| *w).collect();
-        self.jobs_for(&workloads, cfg)
-    }
-
-    /// Formats the study from the engine cache (missing points are
-    /// computed on demand, like any figure formatter).
-    pub fn report(&self, engine: &SimEngine, cfg: &ExperimentConfig) -> Report {
-        engine.run(&self.jobs(engine, cfg));
-        let labels = self.axis.point_labels();
+    /// Formats the study from `results`: one column per axis point. On
+    /// an engine, missing points are computed on demand, like any figure
+    /// formatter.
+    pub fn report(&self, results: &dyn Results, cfg: &ExperimentConfig) -> Report {
         match &self.axis {
-            SweepAxis::HistoryEntries(points) => {
-                let mut report = self.table(&["workload"], &labels);
-                for (w, _) in engine.workloads() {
-                    let base = engine.coverage(&baseline_job(*w, cfg));
-                    let mut cells = vec![w.name().to_string()];
-                    for &n in points {
-                        let r = engine.coverage(&history_job(*w, n, cfg));
-                        cells.push(pct(r.l1i_miss_coverage_vs(&base)));
-                    }
-                    report.row(cells);
-                }
-                report
-            }
-            SweepAxis::BundleGeometry(points) => {
-                let mut report = self.table(&["workload"], &labels);
-                for (w, _) in engine.workloads() {
-                    let base = engine.coverage(&baseline_job(*w, cfg));
-                    let mut cells = vec![w.name().to_string()];
-                    for &g in points {
-                        let r = engine.coverage(&geometry_job(*w, g, cfg));
-                        cells.push(pct(r.btb_miss_coverage_vs(&base)));
-                    }
-                    report.row(cells);
-                }
-                report
-            }
+            SweepAxis::HistoryEntries(points) => self.per_workload(results, |w| {
+                let base = results.coverage(&baseline_job(w, cfg));
+                let cell = |n| results.coverage(&history_job(w, n, cfg));
+                let cells = points.iter().map(|&n| cell(n).l1i_miss_coverage_vs(&base));
+                cells.map(pct).collect()
+            }),
+            SweepAxis::BundleGeometry(points) => self.per_workload(results, |w| {
+                let base = results.coverage(&baseline_job(w, cfg));
+                let cell = |g| results.coverage(&geometry_job(w, g, cfg));
+                let cells = points.iter().map(|&g| cell(g).btb_miss_coverage_vs(&base));
+                cells.map(pct).collect()
+            }),
             SweepAxis::Cores(points) => {
-                let mut report = self.table(&["workload", "design"], &labels);
-                for (w, _) in engine.workloads() {
-                    for d in SCALING_DESIGNS {
+                let mut report = self.table(&["workload", "design"]);
+                for w in results.workload_list() {
+                    // The reads are the study's batch, in the order the
+                    // benchmark runs it (`all_jobs_is_pinned`): each core
+                    // count's designs together. The rows stay one per
+                    // design.
+                    let ipc: Vec<Vec<f64>> = points
+                        .iter()
+                        .map(|&c| {
+                            let run = |d| results.timing(&scaling_job(w, d, c, cfg)).ipc();
+                            SCALING_DESIGNS.into_iter().map(run).collect()
+                        })
+                        .collect();
+                    for (i, d) in SCALING_DESIGNS.iter().enumerate() {
                         let mut cells = vec![w.name().to_string(), d.name().to_string()];
-                        for &c in points {
-                            let r = engine.timing(&scaling_job(*w, d, c, cfg));
-                            cells.push(f(r.ipc(), 3));
-                        }
+                        cells.extend(ipc.iter().map(|at_cores| f(at_cores[i], 3)));
                         report.row(cells);
                     }
                 }
                 report
             }
-            SweepAxis::BtbCapacity(points) => {
-                let mut report = self.table(&["workload"], &labels);
-                for (w, _) in engine.workloads() {
-                    let mut cells = vec![w.name().to_string()];
-                    for &n in points {
-                        let r = engine.coverage(&capacity_job(*w, n, cfg));
-                        cells.push(f(r.btb_mpki(), 2));
-                    }
-                    report.row(cells);
-                }
-                report
-            }
-            SweepAxis::L1iSizeKb(points) => {
-                let mut report = self.table(&["workload"], &labels);
-                for (w, _) in engine.workloads() {
-                    let mut cells = vec![w.name().to_string()];
-                    for &kb in points {
-                        let r = engine.coverage(&l1i_size_job(*w, kb, cfg));
-                        cells.push(f(r.l1i_mpki(), 2));
-                    }
-                    report.row(cells);
-                }
-                report
-            }
-            SweepAxis::ShiftLookahead(points) => {
-                let mut report = self.table(&["workload"], &labels);
-                for (w, _) in engine.workloads() {
-                    let base = engine.coverage(&baseline_job(*w, cfg));
-                    let mut cells = vec![w.name().to_string()];
-                    for &d in points {
-                        let r = engine.coverage(&lookahead_job(*w, d, cfg));
-                        cells.push(pct(r.l1i_miss_coverage_vs(&base)));
-                    }
-                    report.row(cells);
-                }
-                report
-            }
+            SweepAxis::BtbCapacity(points) => self.per_workload(results, |w| {
+                let cell = |n| results.coverage(&capacity_job(w, n, cfg)).btb_mpki();
+                points.iter().map(|&n| f(cell(n), 2)).collect()
+            }),
+            SweepAxis::L1iSizeKb(points) => self.per_workload(results, |w| {
+                let cell = |kb| results.coverage(&l1i_size_job(w, kb, cfg)).l1i_mpki();
+                points.iter().map(|&kb| f(cell(kb), 2)).collect()
+            }),
+            SweepAxis::ShiftLookahead(points) => self.per_workload(results, |w| {
+                let base = results.coverage(&baseline_job(w, cfg));
+                let cell = |d| results.coverage(&lookahead_job(w, d, cfg));
+                let cells = points.iter().map(|&d| cell(d).l1i_miss_coverage_vs(&base));
+                cells.map(pct).collect()
+            }),
         }
     }
 
-    fn table(&self, row_headers: &[&str], labels: &[String]) -> Report {
+    /// A report with one row per workload: its name, then `cells(w)`.
+    fn per_workload(
+        &self,
+        results: &dyn Results,
+        cells: impl Fn(Workload) -> Vec<String>,
+    ) -> Report {
+        let mut report = self.table(&["workload"]);
+        for w in results.workload_list() {
+            let mut row = vec![w.name().to_string()];
+            row.extend(cells(w));
+            report.row(row);
+        }
+        report
+    }
+
+    /// An empty report: `row_headers`, then one column per axis point.
+    fn table(&self, row_headers: &[&str]) -> Report {
+        let labels = self.axis.point_labels();
         let headers: Vec<&str> = row_headers
             .iter()
             .copied()
@@ -466,24 +397,16 @@ pub fn find(name: &str) -> Option<SweepSpec> {
     registry().into_iter().find(|s| s.name == name)
 }
 
-/// Every study's jobs in one batch (what `all_experiments` appends to the
-/// figure suite).
-pub fn all_sweep_jobs(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Job> {
-    registry()
-        .iter()
-        .flat_map(|s| s.jobs(engine, cfg))
-        .collect()
-}
-
 /// Every study's report, in registry order.
-pub fn sweep_reports(engine: &SimEngine, cfg: &ExperimentConfig) -> Vec<Report> {
-    registry().iter().map(|s| s.report(engine, cfg)).collect()
+pub fn sweep_reports(results: &dyn Results, cfg: &ExperimentConfig) -> Vec<Report> {
+    registry().iter().map(|s| s.report(results, cfg)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::unique_jobs;
+    use crate::experiments::{plan, unique_jobs};
+    use crate::job::Job;
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
@@ -504,10 +427,7 @@ mod tests {
     fn studies_overlap_each_other_and_the_figure_suite() {
         let cfg = ExperimentConfig::quick();
         let workloads = [Workload::OltpDb2, Workload::WebFrontend];
-        let sweep_jobs: Vec<Job> = registry()
-            .iter()
-            .flat_map(|s| s.jobs_for(&workloads, &cfg))
-            .collect();
+        let sweep_jobs = plan(&workloads, |results| sweep_reports(results, &cfg));
         assert!(
             unique_jobs(&sweep_jobs) < sweep_jobs.len(),
             "studies must share points (the coverage baseline at least)"
@@ -534,10 +454,9 @@ mod tests {
     }
 
     #[test]
-    fn point_labels_match_axis_arity() {
+    fn point_labels_are_unique() {
         for s in registry() {
             let labels = s.axis.point_labels();
-            assert_eq!(labels.len(), s.axis.len(), "{}", s.name);
             let mut sorted = labels.clone();
             sorted.sort_unstable();
             sorted.dedup();

@@ -261,7 +261,7 @@ struct PathBank {
 pub struct MemoStats {
     /// Memoized request paths in the bank.
     pub tables: usize,
-    /// Total [`ReplayStep`]s in the bank arena.
+    /// Total replay steps (`ReplayStep`s) in the bank arena.
     pub steps: usize,
     /// Requests begun in replay mode (memo hits).
     pub replayed: u64,

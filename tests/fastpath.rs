@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use confluence::sim::{experiments, ExecMode, Job, SimEngine};
+use confluence::sim::{experiments, ExecMode, Job, Results, SimEngine};
 use confluence::trace::{Program, WorkloadSpec};
 
 /// Every job of the `--quick` suite, executed through both the compiled

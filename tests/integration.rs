@@ -3,7 +3,8 @@
 //! the parallel memoizing experiment engine.
 
 use confluence::sim::{
-    experiments, run_coverage, simulate_cmp, CoverageOptions, DesignPoint, SimEngine, TimingConfig,
+    experiments, run_coverage, simulate_cmp, CoverageOptions, DesignPoint, Results, SimEngine,
+    TimingConfig,
 };
 use confluence::trace::{Program, Workload, WorkloadSpec};
 use confluence_area::AreaModel;
@@ -112,11 +113,14 @@ fn engine_parallel_run_is_deterministic() {
     let parallel = SimEngine::new(workloads.clone()).with_threads(4);
     let serial = SimEngine::new(workloads).with_threads(1);
 
-    let render = |engine: &SimEngine| {
-        let mut csv = experiments::fig9(engine, &cfg).to_csv();
-        csv.push_str(&experiments::l1i_coverage(engine, &cfg).to_csv());
+    let render = |results: &dyn Results| {
+        let mut csv = experiments::fig9(results, &cfg).to_csv();
+        csv.push_str(&experiments::l1i_coverage(results, &cfg).to_csv());
         csv
     };
+    let jobs = experiments::plan(&parallel.workload_list(), render);
+    parallel.run(&jobs);
+    serial.run(&jobs);
     assert_eq!(
         render(&parallel),
         render(&serial),
@@ -134,12 +138,13 @@ fn engine_runs_each_unique_simulation_once() {
     let cfg = experiments::ExperimentConfig::quick();
     let workloads: Vec<_> = cfg.workloads().into_iter().take(2).collect();
     let engine = SimEngine::new(workloads);
-    let jobs: Vec<_> = experiments::fig8_jobs(&engine, &cfg)
-        .into_iter()
-        .chain(experiments::fig9_jobs(&engine, &cfg))
-        .chain(experiments::fig10_jobs(&engine, &cfg))
-        .chain(experiments::l1i_coverage_jobs(&engine, &cfg))
-        .collect();
+    let figures = |results: &dyn Results| {
+        experiments::fig8(results, &cfg);
+        experiments::fig9(results, &cfg);
+        experiments::fig10(results, &cfg);
+        experiments::l1i_coverage(results, &cfg);
+    };
+    let jobs = experiments::plan(&engine.workload_list(), figures);
     let unique = experiments::unique_jobs(&jobs) as u64;
     engine.run(&jobs);
     let stats = engine.stats();
@@ -149,10 +154,7 @@ fn engine_runs_each_unique_simulation_once() {
         "each unique job must execute exactly once"
     );
     // Formatting the figures afterwards is pure cache hits.
-    experiments::fig8(&engine, &cfg);
-    experiments::fig9(&engine, &cfg);
-    experiments::fig10(&engine, &cfg);
-    experiments::l1i_coverage(&engine, &cfg);
+    figures(&engine);
     assert_eq!(
         engine.stats().executed,
         unique,

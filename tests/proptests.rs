@@ -457,11 +457,11 @@ proptest! {
 /// suite.
 #[test]
 fn every_sweep_study_job_roundtrips_codec() {
-    use confluence_sim::experiments::ExperimentConfig;
+    use confluence_sim::experiments::{plan, ExperimentConfig};
     let mut seen = 0;
     for cfg in [ExperimentConfig::quick(), ExperimentConfig::full()] {
         for study in confluence_sim::sweeps::registry() {
-            for job in study.jobs_for(&confluence::trace::Workload::ALL, &cfg) {
+            for job in plan(&confluence::trace::Workload::ALL, |r| study.report(r, &cfg)) {
                 let bytes = job.to_bytes();
                 let decoded = Job::from_bytes(&bytes).expect("study job must decode");
                 assert_eq!(decoded, job, "{}: decode mismatch", study.name);

@@ -22,9 +22,10 @@
 
 use std::path::PathBuf;
 
+use confluence::sim::experiments::{plan, unique_jobs, ExperimentConfig};
 use confluence::sim::report::Report;
 use confluence::sim::sweeps::{self, SweepAxis, SweepSpec};
-use confluence::sim::{experiments::ExperimentConfig, SimEngine};
+use confluence::sim::{Results, SimEngine};
 use confluence::store::ResultStore;
 use confluence::trace::Workload;
 
@@ -223,8 +224,12 @@ fn sweep_studies_match_goldens_hold_properties_and_rerun_warm() {
     assert!(studies.len() >= 3, "registry must name at least 3 studies");
 
     let cold = golden_engine(&cfg).with_store(dir.open());
-    let jobs: Vec<_> = studies.iter().flat_map(|s| s.jobs(&cold, &cfg)).collect();
-    let unique = confluence::sim::experiments::unique_jobs(&jobs) as u64;
+    let jobs = plan(&cold.workload_list(), |results| {
+        for s in &studies {
+            s.report(results, &cfg);
+        }
+    });
+    let unique = unique_jobs(&jobs) as u64;
     cold.run(&jobs);
     assert_eq!(cold.stats().executed, unique, "cold run simulates all");
 
@@ -283,10 +288,10 @@ fn engine_contention_stress_executes_each_sweep_job_exactly_once() {
         axis: SweepAxis::BundleGeometry(vec![(512, 3, 32), (512, 4, 32)]),
     };
     let workloads = [Workload::WebFrontend];
-    let a = history.jobs_for(&workloads, &cfg);
-    let b = geometry.jobs_for(&workloads, &cfg);
+    let a = plan(&workloads, |results| history.report(results, &cfg));
+    let b = plan(&workloads, |results| geometry.report(results, &cfg));
     let all: Vec<_> = a.iter().chain(b.iter()).cloned().collect();
-    let unique = confluence::sim::experiments::unique_jobs(&all) as u64;
+    let unique = unique_jobs(&all) as u64;
     assert!(
         unique < all.len() as u64,
         "the studies must overlap for the stress to exercise sharing"

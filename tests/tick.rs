@@ -17,7 +17,8 @@
 //!    shard; the sharded executor is driven directly by 1 and 2 above.
 
 use confluence::sim::{
-    experiments, simulate_cmp_with_shards, DesignPoint, Job, SimEngine, TimingConfig, TimingJob,
+    experiments, simulate_cmp_with_shards, DesignPoint, Job, Results, SimEngine, TimingConfig,
+    TimingJob,
 };
 use confluence::trace::{Program, WorkloadSpec};
 use confluence_uarch::MemParams;
