@@ -136,8 +136,8 @@ impl Client {
 
     /// Submits one batch of encoded jobs and blocks until every result
     /// and the final `BatchDone` arrive. Results stream back in the
-    /// daemon's completion order and are reassembled into submission
-    /// order here.
+    /// daemon's order (cached jobs first, then completion order) and are
+    /// reassembled into submission order here.
     ///
     /// # Errors
     ///

@@ -23,10 +23,10 @@
 //!   `confluence_sim` links the client side into the figure binaries.
 //! - [`server`] — the accept loop and per-connection protocol driver,
 //!   generic over a [`BatchHost`]: the engine-owning side implements a
-//!   handful of methods (validate a handshake, cost-rank a job, run a
-//!   job, report its counters and settle a batch) and gets
-//!   multiplexing, streamed results, and per-connection failure
-//!   isolation for free.
+//!   handful of methods (validate a handshake, answer a cached job,
+//!   cost-rank a job, run a job, report its counters and settle a
+//!   batch) and gets multiplexing, streamed results, and per-connection
+//!   failure isolation for free.
 //! - [`client`] — the blocking client: handshake, submit a batch,
 //!   collect streamed results into submission order.
 //!

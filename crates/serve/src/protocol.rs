@@ -12,8 +12,9 @@
 //! schema version, workload-config fingerprint); server answers
 //! [`Frame::HelloAck`] or a typed [`Frame::Error`] and closes. Each
 //! [`Frame::SubmitBatch`] is answered by one [`Frame::JobResult`] per
-//! job — streamed in completion order, carrying the job's submission
-//! index — and a final [`Frame::BatchDone`] carrying the daemon engine's
+//! job — the cached jobs' first, in submission order, then the rest in
+//! completion order, each carrying the job's submission index — and a
+//! final [`Frame::BatchDone`] carrying the daemon engine's
 //! [`EngineStats`] over the batch, the same record an in-process run
 //! renders its cache summary from. Any malformed or out-of-place frame gets a
 //! typed [`Frame::Error`] and a clean close; corruption never panics

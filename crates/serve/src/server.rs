@@ -9,14 +9,19 @@
 //!
 //! The accept loop blocks in `accept` and gives each connection a
 //! thread of its own. For every connection it runs the handshake, then
-//! answers `SubmitBatch` frames by fanning the batch's jobs out over
-//! `host.threads()` worker threads (most-expensive-first by
-//! `host.cost_hint`, matching the engine's own scheduler) and streaming
-//! the `JobResult` frames back in completion order. A result leaves as
-//! soon as the connection's writer is free: the writer waits for the
-//! next result, then sends it and every other result already waiting as
-//! one burst, in one write. Frames are read through a buffer, so a
-//! burst from the client costs one read, not three per frame.
+//! answers `SubmitBatch` frames in two steps. First the connection
+//! thread asks the host for each job's cached result
+//! ([`BatchHost::cached`]) and sends every hit's `JobResult` frame in
+//! submission order, as one burst in one write, before any worker
+//! starts; a batch the host holds entirely is answered without a
+//! thread. Then it fans the misses out over at most `host.threads()`
+//! worker threads (most-expensive-first by `host.cost_hint`, matching
+//! the engine's own scheduler) and streams their frames back in
+//! completion order. A miss's result leaves as soon as the connection's
+//! writer is free: the writer waits for the next result, then sends it
+//! and every other result already waiting as one burst, in one write.
+//! Frames are read through a buffer, so a burst from the client costs
+//! one read, not three per frame.
 //! Exactly-once semantics across concurrent clients are
 //! the host's business — the engine's content-keyed in-flight dedup —
 //! so two clients submitting the same job each get a result frame while
@@ -74,6 +79,9 @@ impl Rejection {
 /// responsible for exactly-once execution under concurrency — the
 /// server will call [`BatchHost::run_job`] for the same payload from
 /// several connections at once and expects the host to dedup in flight.
+/// Each job of a batch is first offered to [`BatchHost::cached`] on the
+/// connection's own thread; only the jobs it does not answer reach
+/// `cost_hint` and `run_job`, on worker threads.
 pub trait BatchHost: Send + Sync + 'static {
     /// The host's job schema version, echoed in `HelloAck`.
     fn schema(&self) -> u32;
@@ -95,6 +103,19 @@ pub trait BatchHost: Send + Sync + 'static {
     /// ordering. Payloads that fail to decode may return anything;
     /// [`BatchHost::run_job`] will reject them properly.
     fn cost_hint(&self, job: &[u8]) -> u64;
+
+    /// The encoded output of a job whose result the host already holds,
+    /// counted in its [`EngineStats`] exactly as `run_job` would count a
+    /// hit. `None` sends the job to [`BatchHost::run_job`]: a miss, a
+    /// job still running elsewhere (the lookup must neither claim nor
+    /// wait for it), a failed one, and a payload that does not decode,
+    /// so that `run_job` refuses it typed. Called on the connection's
+    /// thread, once per job, in submission order. The default holds
+    /// nothing.
+    fn cached(&self, job: &[u8]) -> Option<Vec<u8>> {
+        let _ = job;
+        None
+    }
 
     /// Executes one encoded job and returns its encoded output.
     ///
@@ -301,7 +322,12 @@ impl ServerHandle {
     /// if its thread panicked.
     pub fn stop(mut self) -> io::Result<()> {
         let exited = self.end_accept_loop();
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
+        let conns = std::mem::take(
+            &mut *self
+                .conns
+                .lock()
+                .expect("connection list poisoned: a thread panicked holding it"),
+        );
         for conn in conns {
             let _ = conn.join();
         }
@@ -356,7 +382,9 @@ fn serve_loop<H: BatchHost>(
             Ok((stream, _)) => {
                 let host = Arc::clone(&host);
                 let handle = thread::spawn(move || handle_connection(&stream, &*host));
-                let mut conns = conns.lock().unwrap();
+                let mut conns = conns
+                    .lock()
+                    .expect("connection list poisoned: a thread panicked holding it");
                 // Drop the handles of connections that already ended, so a
                 // daemon that never stops holds one handle per live
                 // connection, not one per connection it ever accepted.
@@ -480,7 +508,8 @@ fn serve_fetch<H: BatchHost>(mut out: &UnixStream, host: &H, ttl: u32, keys: &[V
         && out.write_all(&burst).is_ok()
 }
 
-/// Runs one batch and streams its results. Returns `false` if the
+/// Answers one batch: the host's cached results first, then the misses'
+/// results as they complete, then `BatchDone`. Returns `false` if the
 /// connection should close (transport failure or a rejected job).
 fn serve_batch<H: BatchHost>(
     mut out: &UnixStream,
@@ -491,14 +520,52 @@ fn serve_batch<H: BatchHost>(
     let before = host.snapshot();
     host.prepare_batch(jobs);
 
+    // Hits first, from this thread, in submission order and one write:
+    // a warm batch needs no worker, no channel and no ranking.
+    let mut burst = Vec::new();
+    let mut misses: Vec<usize> = Vec::new();
+    for (idx, job) in jobs.iter().enumerate() {
+        match host.cached(job) {
+            Some(output) => {
+                #[allow(clippy::cast_possible_truncation)]
+                let job_idx = idx as u32;
+                if protocol::put(&mut burst, &Frame::JobResult { job_idx, output }).is_err() {
+                    return false;
+                }
+            }
+            None => misses.push(idx),
+        }
+    }
+    if !burst.is_empty() && out.write_all(&burst).is_err() {
+        return false;
+    }
+    if !misses.is_empty() && !run_misses(out, host, jobs, misses) {
+        return false;
+    }
+    let done = Frame::BatchDone {
+        batch_id,
+        stats: host.finish_batch(before),
+    };
+    protocol::send(&mut out, &done).is_ok()
+}
+
+/// Runs the jobs at `misses` (indices into `jobs`) on worker threads and
+/// streams each result as it completes. Returns `false` if the
+/// connection should close: the client went away, or a job was
+/// rejected, whose typed refusal has then been sent.
+fn run_misses<H: BatchHost>(
+    mut out: &UnixStream,
+    host: &H,
+    jobs: &[Vec<u8>],
+    mut misses: Vec<usize>,
+) -> bool {
     // Most-expensive-first claim order, same policy as the engine's own
     // scheduler: long poles start immediately instead of queueing
     // behind cheap jobs. Stable sort keeps submission order among ties;
-    // the cached key costs one `cost_hint` (a payload decode) per job.
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_cached_key(|&i| std::cmp::Reverse(host.cost_hint(&jobs[i])));
+    // the sort key costs one `cost_hint` (a payload decode) per job.
+    misses.sort_by_cached_key(|&i| std::cmp::Reverse(host.cost_hint(&jobs[i])));
 
-    let workers = host.threads().clamp(1, jobs.len().max(1));
+    let workers = host.threads().clamp(1, misses.len());
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let rejection: Mutex<Option<Rejection>> = Mutex::new(None);
@@ -508,14 +575,14 @@ fn serve_batch<H: BatchHost>(
         let (tx, rx) = mpsc::channel::<(u32, Vec<u8>)>();
         for _ in 0..workers {
             let tx = tx.clone();
-            let (next, abort, rejection, order) = (&next, &abort, &rejection, &order);
+            let (next, abort, rejection, misses) = (&next, &abort, &rejection, &misses);
             scope.spawn(move || {
                 loop {
                     if abort.load(Ordering::SeqCst) {
                         break;
                     }
                     let slot = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&idx) = order.get(slot) else { break };
+                    let Some(&idx) = misses.get(slot) else { break };
                     match host.run_job(&jobs[idx]) {
                         Ok(output) => {
                             #[allow(clippy::cast_possible_truncation)]
@@ -526,7 +593,10 @@ fn serve_batch<H: BatchHost>(
                         }
                         Err(rej) => {
                             // First rejection wins; the batch aborts.
-                            rejection.lock().unwrap().get_or_insert(rej);
+                            rejection
+                                .lock()
+                                .expect("rejection slot poisoned: a worker panicked holding it")
+                                .get_or_insert(rej);
                             abort.store(true, Ordering::SeqCst);
                             break;
                         }
@@ -563,15 +633,15 @@ fn serve_batch<H: BatchHost>(
     if write_failed {
         return false;
     }
-    if let Some(rej) = rejection.lock().unwrap().take() {
+    let rejected = rejection
+        .lock()
+        .expect("rejection slot poisoned: a worker panicked holding it")
+        .take();
+    if let Some(rej) = rejected {
         refuse(out, rej.code, rej.message);
         return false;
     }
-    let done = Frame::BatchDone {
-        batch_id,
-        stats: host.finish_batch(before),
-    };
-    protocol::send(&mut out, &done).is_ok()
+    true
 }
 
 #[cfg(test)]
@@ -728,9 +798,24 @@ mod tests {
     }
 
     /// Job `[0]` returns at once; job `[1]` waits until the test opens
-    /// the gate. Every job echoes its payload.
+    /// the gate. Every job echoes its payload. A job whose byte is in
+    /// `cached` is answered from the cache, and running it panics.
     struct GatedHost {
         gate: Mutex<mpsc::Receiver<()>>,
+        cached: Vec<u8>,
+    }
+
+    impl GatedHost {
+        /// A host that caches the jobs `cached`, and the sender that
+        /// opens its gate.
+        fn new(cached: &[u8]) -> (Arc<Self>, mpsc::Sender<()>) {
+            let (open_gate, gate) = mpsc::channel();
+            let host = GatedHost {
+                gate: Mutex::new(gate),
+                cached: cached.to_vec(),
+            };
+            (Arc::new(host), open_gate)
+        }
     }
 
     impl BatchHost for GatedHost {
@@ -750,7 +835,15 @@ mod tests {
             0
         }
 
+        fn cached(&self, job: &[u8]) -> Option<Vec<u8>> {
+            self.cached.contains(&job[0]).then(|| job.to_vec())
+        }
+
         fn run_job(&self, job: &[u8]) -> Result<Vec<u8>, Rejection> {
+            assert!(
+                !self.cached.contains(&job[0]),
+                "run_job called for the cached job {job:?}"
+            );
             if job == [1] {
                 // Bounded, so a failed test cannot wedge the worker.
                 let _ = self
@@ -763,21 +856,60 @@ mod tests {
         }
     }
 
-    /// Results stream in completion order: job 0's result must reach
-    /// the client while job 1 is still running, because job 1 runs only
-    /// once the client has read it. A writer that held results until
-    /// the batch ended would deadlock with the client; the read timeout
-    /// is the watchdog that fails the test instead.
+    /// A batch the host holds entirely is answered without running a
+    /// job: every result and the `BatchDone` arrive, though this host's
+    /// `run_job` panics on each of these jobs.
     #[test]
-    fn results_stream_before_the_batch_ends() {
+    fn a_fully_cached_batch_runs_no_job() {
         let sock = std::env::temp_dir().join(format!(
-            "confluence-serve-stream-{}.sock",
+            "confluence-serve-cached-{}.sock",
             std::process::id()
         ));
-        let (open_gate, gate) = mpsc::channel();
-        let host = Arc::new(GatedHost {
-            gate: Mutex::new(gate),
-        });
+        let (host, _gate) = GatedHost::new(&[2, 3, 4]);
+        let server = Server::bind(&sock, host).unwrap().spawn();
+        let jobs = vec![vec![4], vec![2], vec![3]];
+        let reply = crate::Client::connect(&sock, 1, 0)
+            .unwrap()
+            .submit(5, jobs.clone())
+            .expect("every result and the BatchDone arrive");
+        assert_eq!(reply.outputs, jobs);
+        server.stop().unwrap();
+    }
+
+    /// Results stream in completion order: job `[0]`'s result must reach
+    /// the client while job `[1]` is still running, because `[1]` runs
+    /// only once the client has read it. A writer that held results
+    /// until the batch ended would deadlock with the client; the read
+    /// timeout is the watchdog that fails the test instead. Cached jobs
+    /// (`[2]` and `[3]` on the second host) come before every miss, in
+    /// submission order, and the misses still stream.
+    #[test]
+    fn results_stream_before_the_batch_ends() {
+        stream_past_the_gate("plain", &[], &[vec![0], vec![1]], &[0], 1);
+        stream_past_the_gate(
+            "cached",
+            &[2, 3],
+            &[vec![2], vec![0], vec![3], vec![1]],
+            &[0, 2, 1],
+            3,
+        );
+    }
+
+    /// Submits `jobs` to a [`GatedHost`] caching `cached` and expects the
+    /// results of `before_gate` (job indices, in that order) while job
+    /// `gated` waits at the gate, then `gated`'s result and `BatchDone`.
+    fn stream_past_the_gate(
+        tag: &str,
+        cached: &[u8],
+        jobs: &[Vec<u8>],
+        before_gate: &[u32],
+        gated: u32,
+    ) {
+        let sock = std::env::temp_dir().join(format!(
+            "confluence-serve-stream-{tag}-{}.sock",
+            std::process::id()
+        ));
+        let (host, open_gate) = GatedHost::new(cached);
         let server = Server::bind(&sock, host).unwrap().spawn();
         let mut stream = UnixStream::connect(&sock).unwrap();
         stream
@@ -793,17 +925,22 @@ mod tests {
             protocol::recv(&mut stream),
             Ok(Frame::HelloAck { .. })
         ));
-        let jobs = vec![vec![0], vec![1]];
-        protocol::send(&mut stream, &Frame::SubmitBatch { batch_id: 7, jobs }).unwrap();
-        match protocol::recv(&mut stream) {
-            Ok(Frame::JobResult { job_idx: 0, output }) => assert_eq!(output, [0]),
-            other => panic!("expected job 0's result while job 1 runs, got {other:?}"),
+        let batch = Frame::SubmitBatch {
+            batch_id: 7,
+            jobs: jobs.to_vec(),
+        };
+        protocol::send(&mut stream, &batch).unwrap();
+        let mut expect_result = |idx: u32| match protocol::recv(&mut stream) {
+            Ok(Frame::JobResult { job_idx, output }) if job_idx == idx => {
+                assert_eq!(output, jobs[idx as usize]);
+            }
+            other => panic!("expected job {idx}'s result, got {other:?}"),
+        };
+        for &idx in before_gate {
+            expect_result(idx);
         }
         open_gate.send(()).unwrap();
-        match protocol::recv(&mut stream) {
-            Ok(Frame::JobResult { job_idx: 1, output }) => assert_eq!(output, [1]),
-            other => panic!("expected job 1's result, got {other:?}"),
-        }
+        expect_result(gated);
         assert!(matches!(
             protocol::recv(&mut stream),
             Ok(Frame::BatchDone { batch_id: 7, .. })

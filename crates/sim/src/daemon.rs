@@ -6,13 +6,15 @@
 //! `confluence_serve` deliberately knows nothing about simulation — job
 //! payloads are opaque bytes at its layer. This module is where the
 //! opacity ends: [`EngineHost`] decodes each payload with the job codec
-//! (`crate::codec`), runs it through the shared engine (inheriting its
-//! in-flight dedup, so two clients submitting the same content-keyed
-//! job trigger one execution and two results), and settles each batch:
-//! it applies the store cap, when one is set, and answers with the
-//! engine's [`EngineStats`] over the batch's window. Without a cap a
-//! settled batch reads nothing from the store directory. The handshake
-//! pins [`SCHEMA_VERSION`] and the
+//! (`crate::codec`), answers a job whose result the engine already holds
+//! straight from its cache (`SimEngine::cached`, counted as a hit, so
+//! the server sends it without a worker thread), runs every other job
+//! through the shared engine (inheriting its in-flight dedup, so two
+//! clients submitting the same content-keyed job trigger one execution
+//! and two results), and settles each batch: it applies the store cap,
+//! when one is set, and answers with the engine's [`EngineStats`] over
+//! the batch's window. Without a cap a settled batch reads nothing from
+//! the store directory. The handshake pins [`SCHEMA_VERSION`] and the
 //! [`workloads_fingerprint`] of the engine's generator specs, so a
 //! quick-mode client talking to a full-mode daemon is a typed
 //! `ConfigMismatch` refusal, never silently different numbers.
@@ -93,6 +95,12 @@ impl BatchHost for EngineHost {
         // Undecodable payloads rank anywhere; run_job rejects them with
         // a proper typed error when their turn comes.
         Job::from_bytes(job).map_or(0, |j| j.cost_hint())
+    }
+
+    fn cached(&self, payload: &[u8]) -> Option<Vec<u8>> {
+        // An undecodable payload is no hit; run_job refuses it typed.
+        let job = Job::from_bytes(payload).ok()?;
+        self.engine.cached(&job).map(|output| output.to_bytes())
     }
 
     fn run_job(&self, payload: &[u8]) -> Result<Vec<u8>, Rejection> {

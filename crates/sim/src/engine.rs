@@ -58,9 +58,11 @@ struct Slot {
 }
 
 impl Slot {
-    fn new() -> Self {
+    /// A slot holding `ready`: `None` for a claimed key whose result is
+    /// still to come, the result itself for a key installed finished.
+    fn new(ready: Option<SlotResult>) -> Self {
         Slot {
-            ready: Mutex::new(None),
+            ready: Mutex::new(ready),
             cond: Condvar::new(),
         }
     }
@@ -281,16 +283,36 @@ impl SimEngine {
         self.fetch(job)
     }
 
+    /// The result of `job` if a finished execution (or [`SimEngine::seed`])
+    /// already cached it, counted as one request and one hit. A key that
+    /// is absent, still in flight, or whose execution panicked returns
+    /// `None` and counts nothing: this lookup never claims a slot and
+    /// never waits on one, so the caller can answer hits at once and
+    /// leave every other key to [`SimEngine::output`].
+    pub(crate) fn cached(&self, job: &Job) -> Option<Arc<JobOutput>> {
+        let mut guard = self.lock_cache();
+        let cache = &mut *guard;
+        let ready = cache.slots.get(job)?.ready.lock().expect("slot poisoned");
+        let Some(Ok(output)) = &*ready else {
+            return None;
+        };
+        let output = Arc::clone(output);
+        drop(ready);
+        cache.stats.requests += 1;
+        cache.stats.hits += 1;
+        Some(output)
+    }
+
     /// Installs an already-known result for `job` without touching the
     /// stats counters, the disk tier, or the executors. The client side
     /// of a daemon run uses this to inject daemon-computed outputs so
-    /// the figure formatters' subsequent reads are pure local hits. A
-    /// key that is already cached (or in flight) is left alone.
+    /// the figure formatters' subsequent reads are pure local hits. The
+    /// slot is inserted already filled: no thread can be waiting on a
+    /// key that had no slot, so there is nobody to wake. A key that is
+    /// already cached (or in flight) is left alone.
     pub fn seed(&self, job: Job, output: JobOutput) {
         if let Entry::Vacant(v) = self.lock_cache().slots.entry(job) {
-            let slot = Arc::new(Slot::new());
-            slot.fill(Ok(Arc::new(output)));
-            v.insert(slot);
+            v.insert(Arc::new(Slot::new(Some(Ok(Arc::new(output))))));
         }
     }
 
@@ -308,7 +330,7 @@ impl SimEngine {
                     (Arc::clone(e.get()), false)
                 }
                 Entry::Vacant(v) => {
-                    let slot = Arc::new(Slot::new());
+                    let slot = Arc::new(Slot::new(None));
                     v.insert(Arc::clone(&slot));
                     (slot, true)
                 }
@@ -800,6 +822,59 @@ mod tests {
                 assert!(h.join().unwrap(), "every request must observe the panic");
             }
         });
+    }
+
+    /// `cached` answers only a finished key, counted as one request and
+    /// one hit. An absent, in-flight or panicked key is `None`, counts
+    /// nothing, and gets no slot.
+    #[test]
+    fn cached_answers_only_finished_keys() {
+        let engine = tiny_engine();
+        let finished: Job = tiny_job().into();
+        let absent: Job = CoverageJob {
+            btb: BtbSpec::Perfect,
+            ..tiny_job()
+        }
+        .into();
+        let in_flight: Job = CoverageJob {
+            btb: BtbSpec::Large16k,
+            ..tiny_job()
+        }
+        .into();
+        // tiny_engine only has WebFrontend, so this job's execution panics.
+        let panicked: Job = CoverageJob {
+            workload: Workload::OltpDb2,
+            ..tiny_job()
+        }
+        .into();
+        let expected = engine.output(&finished);
+        let run =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.output(&panicked)));
+        assert!(run.is_err(), "a job without its workload panics");
+        // A claimed key whose result is still to come.
+        engine
+            .lock_cache()
+            .slots
+            .insert(in_flight.clone(), Arc::new(Slot::new(None)));
+
+        let before = engine.stats();
+        for job in [&absent, &in_flight, &panicked] {
+            assert!(engine.cached(job).is_none(), "{job:?} is not finished");
+        }
+        assert_eq!(
+            engine.stats(),
+            before,
+            "a lookup that misses counts nothing"
+        );
+        assert!(!engine.lock_cache().slots.contains_key(&absent));
+
+        assert_eq!(engine.cached(&finished), Some(expected));
+        let counted = EngineStats {
+            requests: 1,
+            hits: 1,
+            ..EngineStats::default()
+        };
+        assert_eq!(engine.stats().since(&before), counted);
     }
 
     #[test]

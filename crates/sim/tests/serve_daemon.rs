@@ -154,6 +154,7 @@ fn warm_second_batch_executes_nothing() {
     assert_eq!(stats2.executed, 0, "warm daemon executes nothing");
     assert_eq!(stats2.disk_hits, 0);
     assert_eq!(stats2.hits, jobs.len() as u64);
+    assert_eq!(stats2.requests, jobs.len() as u64, "one request per job");
 
     // Both clients still decode identical bytes.
     let expected = reference_outputs(&jobs);
