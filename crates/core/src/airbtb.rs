@@ -20,8 +20,8 @@ use std::sync::Arc;
 
 use confluence_btb::{tag_bits, BtbDesign, BtbOutcome, ResolvedBranch};
 use confluence_types::{
-    BlockAddr, BranchClass, PredecodeSource, PredecodedBranch, StorageProfile, VAddr,
-    INSTRS_PER_BLOCK,
+    BlockAddr, BranchClass, BuildFoldHasher, PredecodeSource, PredecodedBranch, StorageProfile,
+    VAddr, INSTRS_PER_BLOCK,
 };
 use confluence_uarch::SetAssocCache;
 
@@ -116,7 +116,7 @@ pub struct AirBtb {
     mode: AirBtbMode,
     bundle_entries: usize,
     /// Synchronized storage (Full mode): mirrors L1-I contents exactly.
-    synced: HashMap<BlockAddr, Bundle>,
+    synced: HashMap<BlockAddr, Bundle, BuildFoldHasher>,
     /// Standalone storage (ablation modes): own set-associative array.
     standalone: SetAssocCache<Bundle>,
     /// Fully-associative overflow buffer keyed by branch PC.
@@ -179,7 +179,7 @@ impl AirBtb {
         AirBtb {
             mode,
             bundle_entries,
-            synced: HashMap::new(),
+            synced: HashMap::default(),
             standalone,
             overflow,
             overflow_entries,

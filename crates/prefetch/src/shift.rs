@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use confluence_types::{BlockAddr, StorageProfile};
+use confluence_types::{BlockAddr, BuildFoldHasher, StorageProfile};
 
 /// Default history capacity: 32K entries (paper Section 4.2.1, 204 KB
 /// virtualized in the LLC).
@@ -117,7 +117,7 @@ pub struct ShiftHistory {
     /// Monotonically increasing sequence number of the next write.
     head_seq: u64,
     /// Block address -> most recent sequence number of an entry covering it.
-    index: HashMap<BlockAddr, u64>,
+    index: HashMap<BlockAddr, u64, BuildFoldHasher>,
     capacity: usize,
     last_recorded: Option<BlockAddr>,
 }
@@ -138,7 +138,7 @@ impl ShiftHistory {
         ShiftHistory {
             buffer: vec![HistoryEntry::default(); capacity],
             head_seq: 0,
-            index: HashMap::new(),
+            index: HashMap::default(),
             capacity,
             last_recorded: None,
         }

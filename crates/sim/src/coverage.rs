@@ -6,11 +6,9 @@
 //! BTB misses follow the paper's definition: an entry for a taken branch is
 //! absent at prediction time (Section 2.1).
 //!
-//! The record streams consumed here come from [`Program::stream`], so
-//! once an earlier job over the same program has warmed its path memo,
-//! a run replays memoized request paths — the streams, and therefore
-//! every counter, are bit-identical either way; warmth only changes how
-//! fast the records are produced.
+//! The record streams consumed here come from [`Program::stream`]; the
+//! compiled and the reference executor produce the same records, so
+//! every counter is bit-identical on either path.
 
 use confluence_btb::{BtbDesign, ResolvedBranch};
 use confluence_prefetch::{ShiftEngine, ShiftHistory};

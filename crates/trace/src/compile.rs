@@ -35,11 +35,15 @@
 //! `tests/fastpath.rs` harness. The reference path stays selectable via
 //! [`NO_FASTPATH_ENV`] / `--no-fastpath` as the escape hatch and
 //! equivalence oracle.
+//!
+//! A translation is immutable once built, and every executor steps live
+//! from its own state: no request path is recorded or replayed, so an
+//! executor's memory stays flat however long it streams, and any number
+//! of executors share one translation without a lock.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use confluence_types::{BranchKind, DetRng, TraceRecord, VAddr, INSTR_BYTES, VADDR_BITS};
+use confluence_types::{BranchKind, DetRng, TraceRecord, VAddr, INSTR_BYTES};
 
 use crate::exec::{mix, site_unit, Executor, STACK_GUARD};
 use crate::program::{Program, Term};
@@ -48,14 +52,6 @@ use crate::program::{Program, Term};
 /// non-empty value other than `0` (the `--no-fastpath` CLI flag sets the
 /// same mode explicitly).
 pub const NO_FASTPATH_ENV: &str = "CONFLUENCE_NO_FASTPATH";
-
-/// Total [`ReplayStep`] arena budget of the request-path memo: executors
-/// stop recording new paths once their arena (warm snapshot included)
-/// reaches this.
-const MEMO_STEPS: usize = 1 << 16;
-
-/// Longest single request control path worth memoizing.
-const MEMO_REQUEST_STEPS: usize = 1 << 13;
 
 /// Which record-stream implementation a simulation uses.
 ///
@@ -121,26 +117,11 @@ const KIND_BY_OP: [BranchKind; 8] = [
     BranchKind::Return,        // Return
 ];
 
-/// Call-depth adjustment by dense opcode (+1 call, -1 return), a table
-/// load for the same unpredictable-branch reason as [`KIND_BY_OP`].
-const DEPTH_BY_OP: [i8; 8] = [0, 0, 0, 0, 1, 1, 0, -1];
-
-/// Low 48 bits of a [`ReplayStep::term_word`]: the terminator's fetch
-/// address (the opcode lives above). Identical to [`VAddr::new`]'s own
-/// mask, so in release builds the two ANDs fold into one.
-const TERM_PC_MASK: u64 = (1 << VADDR_BITS) - 1;
-
 impl Op {
     /// Branch kind of the emitted record (see [`KIND_BY_OP`]).
     #[inline]
     fn kind(self) -> BranchKind {
         KIND_BY_OP[self as usize]
-    }
-
-    /// Call-depth adjustment of this terminator (see [`DEPTH_BY_OP`]).
-    #[inline]
-    fn depth_delta(self) -> i8 {
-        DEPTH_BY_OP[self as usize]
     }
 }
 
@@ -222,53 +203,18 @@ pub struct CompiledProgram {
     os_entries: Vec<u32>,
     os_interleave: f64,
     flavors_per_request: u64,
-    /// Shared warm-path state: every executor over this translation
-    /// snapshots the bank at construction and merges newly recorded paths
-    /// back on drop, so memo warmth survives across jobs, cores, and
-    /// shards.
-    bank: Mutex<PathBank>,
 }
 
-/// Process-wide warm-path state of one [`CompiledProgram`].
+/// What [`CompiledProgram::memo_stats`] reports.
 ///
-/// A request's control path is a pure function of its `(entry, flavor)`
-/// key — independent of the executor seed, which only decides the request
-/// *sequence* — so paths recorded by any executor replay correctly in
-/// every other executor over the same translation. Merges are
-/// content-idempotent for that reason: two executors racing to record the
-/// same key store byte-identical steps, and the bank keeps whichever
-/// lands first.
-#[derive(Debug, Default)]
-struct PathBank {
-    map: HashMap<(u32, u64), PathRef, BuildPathHasher>,
-    /// Shared step arena. Executors hold an `Arc` clone as their snapshot
-    /// (construction never copies steps, so short jobs start cheap);
-    /// appends go through `Arc::make_mut`, which only copies while an
-    /// older snapshot is still alive, i.e. never on a fully warm run where
-    /// nothing records.
-    paths: Arc<Vec<ReplayStep>>,
-    /// Requests begun in replay mode (memo hits), across all executors.
-    replayed: u64,
-    /// Requests whose recording was finalized into a memo table.
-    recorded: u64,
-    /// Requests stepped live (cold keys), recorded or not.
-    live: u64,
-}
-
-/// Snapshot of a program's warm-path accounting (see
-/// [`CompiledProgram::memo_stats`]).
+/// Compiled executors record no request paths, so `steps` reads 0.
+/// The type stays only while perfbench reads it for its
+/// `trace.memo_steps` layer; it goes when that layer leaves
+/// `BENCHMARK.json` (ROADMAP.md, item 2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Memoized request paths in the bank.
-    pub tables: usize,
-    /// Total replay steps (`ReplayStep`s) in the bank arena.
+    /// Recorded request-path steps: always 0.
     pub steps: usize,
-    /// Requests begun in replay mode (memo hits).
-    pub replayed: u64,
-    /// Requests whose recording was finalized into a new memo table.
-    pub recorded: u64,
-    /// Requests stepped live (cold keys).
-    pub live: u64,
 }
 
 /// Exact integer form of the reference's `site_unit(..) < prob` test.
@@ -286,7 +232,7 @@ impl CompiledProgram {
     pub fn compile(program: &Program) -> CompiledProgram {
         let bbs = program.bbs();
         let n = bbs.len();
-        // Block ids travel through u32 tables (and memoized replay steps).
+        // Block ids travel through u32 tables.
         assert!(n < (1 << 31) as usize, "block id space exceeds 31 bits");
         let mut cp = CompiledProgram {
             pc_table: Vec::new(),
@@ -299,7 +245,6 @@ impl CompiledProgram {
             os_entries: Vec::new(),
             os_interleave: 0.0,
             flavors_per_request: 1,
-            bank: Mutex::new(PathBank::default()),
         };
         // First pass: resolve every block's own terminator.
         for (i, bb) in bbs.iter().enumerate() {
@@ -436,47 +381,9 @@ impl CompiledProgram {
         CompiledExecutor::new(self, seed)
     }
 
-    /// Current warm-path accounting across every executor this translation
-    /// has served.
+    /// Always [`MemoStats::default`]: no executor records request paths.
     pub fn memo_stats(&self) -> MemoStats {
-        let bank = self.bank.lock().expect("path bank poisoned");
-        MemoStats {
-            tables: bank.map.len(),
-            steps: bank.paths.len(),
-            replayed: bank.replayed,
-            recorded: bank.recorded,
-            live: bank.live,
-        }
-    }
-
-    /// Merges an executor's newly recorded paths and its request counters
-    /// into the bank (called on executor drop). Keys already present are
-    /// skipped — concurrent recorders produce byte-identical paths for
-    /// the same key, so first-in wins loses nothing.
-    fn absorb(&self, ex: &CompiledExecutor<'_>) {
-        let recorded_new = !ex.fresh.is_empty();
-        if !recorded_new && ex.stat_replayed == 0 && ex.stat_live == 0 {
-            return;
-        }
-        let mut guard = self.bank.lock().expect("path bank poisoned");
-        let bank = &mut *guard;
-        bank.replayed += ex.stat_replayed;
-        bank.recorded += ex.stat_recorded;
-        bank.live += ex.stat_live;
-        if !recorded_new {
-            return;
-        }
-        let arena = Arc::make_mut(&mut bank.paths);
-        for (&key, &p) in &ex.memo {
-            if p.start < ex.snapshot_len || bank.map.contains_key(&key) {
-                continue;
-            }
-            let (a, b) = (p.start - ex.snapshot_len, p.end - ex.snapshot_len);
-            let start = arena.len() as u32;
-            arena.extend_from_slice(&ex.fresh[a as usize..b as usize]);
-            let end = arena.len() as u32;
-            bank.map.insert(key, PathRef { start, end });
-        }
+        MemoStats::default()
     }
 }
 
@@ -536,167 +443,11 @@ pub struct CompiledExecutor<'c> {
     /// the load overlaps the current run's emission instead of serializing
     /// behind the run-exit branch.
     next_cur: BlockDesc,
-    /// Memoized request control paths, keyed by `(entry block, flavor)`.
-    ///
-    /// No RNG draw happens between two `schedule_next` calls — every
-    /// branch outcome inside a request is a pure site mix over the
-    /// request's flavor, the loop counters start empty, and the return
-    /// stack starts empty — so a request's whole record stream is a pure
-    /// function of its key. The first execution records one
-    /// [`ReplayStep`] per branch into the shared `paths` arena; later
-    /// executions replay the steps with no mixing, no weighted picks,
-    /// and no per-op dispatch. Each step carries the fully resolved
-    /// transition — direction, record target, and the successor chain's
-    /// run bounds and packed terminator — so replay is a straight-line
-    /// scan of one contiguous array: no random access back into `desc`
-    /// or `base`, no data-dependent target selection, and the hardware
-    /// prefetcher sees a sequential address stream.
-    memo: HashMap<(u32, u64), PathRef, BuildPathHasher>,
-    /// The shared bank arena as of construction — an `Arc` clone, never a
-    /// step copy, so executor construction stays O(map) even when the
-    /// warm bank holds hundreds of thousands of steps. A [`PathRef`] below
-    /// `snapshot_len` indexes this arena.
-    snapshot: Arc<Vec<ReplayStep>>,
-    /// Local arena for paths this executor records; a [`PathRef`] at or
-    /// above `snapshot_len` indexes it at `start - snapshot_len`. Paths
-    /// never straddle the two arenas, so replay still walks one
-    /// contiguous slice.
-    fresh: Vec<ReplayStep>,
-    /// Control-path recording for the in-flight request, when its key is
-    /// cold and the budget allows.
-    recording: Option<Vec<ReplayStep>>,
-    /// Key of the in-flight request (its flavor is overwritten by the
-    /// next `schedule_next` before the recording is finalized).
-    req_key: (u32, u64),
-    /// Replay cursor: next index in `paths`, or `u32::MAX` when live.
-    replay_pos: u32,
-    /// One past the active replay path's last `paths` index.
-    replay_end: u32,
-    /// A replayed branch outcome is staged in `pre_*`/`next_cur`.
-    ///
-    /// Replay stages one branch ahead (see `replay_stage`) for the same
-    /// reason live stepping does: the successor-descriptor load issues a
-    /// whole slice emission before its use, instead of serializing
-    /// `stored word -> desc -> pc run` behind the run-exit branch.
-    replay_staged: bool,
-    /// Write-only scratch: staging reads the next chain's first fetch
-    /// address into it, pulling that `pc_table` line into L1 a whole
-    /// slice emission before the run walks it (chains enter `pc_table`
-    /// at data-dependent offsets the hardware prefetcher cannot guess).
-    prefetch: u64,
-    /// Call depth accumulated by the replay path (the real stack is not
-    /// maintained during replay; depth returns to zero by the end of
-    /// every request).
-    replay_depth: u32,
-    /// `snapshot` length: [`PathRef`]s below it index the shared
-    /// snapshot, those at or above it index `fresh` (rebased); only the
-    /// latter are merged back on drop.
-    snapshot_len: u32,
-    /// Recycled recording buffer: recording a request reuses one
-    /// allocation for the whole executor lifetime instead of paying an
-    /// alloc/free per cold request.
-    spare: Vec<ReplayStep>,
-    /// Requests begun in replay mode.
-    stat_replayed: u64,
-    /// Requests whose recording was finalized into the memo.
-    stat_recorded: u64,
-    /// Requests stepped live.
-    stat_live: u64,
-}
-
-/// `paths`-arena slice of one memoized request's control path.
-#[derive(Clone, Copy, Debug)]
-struct PathRef {
-    start: u32,
-    end: u32,
-}
-
-/// One memoized chain transition: everything the replay loop needs to
-/// emit the current chain's branch record and advance into its successor,
-/// resolved at record time.
-///
-/// The fat 28-byte step trades arena bytes for loop shape: the earlier
-/// compact form (successor id + taken bit in one word) made every warm
-/// chain transition a bounds-checked random access into the per-block
-/// tables plus a data-dependent target select, which dominated the
-/// replay loop's critical path. Storing the resolved transition turns
-/// all of that into one sequential load; the arena stays bounded by
-/// [`MEMO_STEPS`] (~2 MB), and per-flavor cold footprint only matters
-/// until the step line is in cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct ReplayStep {
-    /// This chain's terminator fetch address in the low 48 bits with its
-    /// [`Op`] discriminant in the top byte (see [`TERM_PC_MASK`]).
-    term_word: u64,
-    /// Resolved record target of this chain's branch, with the taken bit
-    /// above the 48-bit address (see [`STEP_TAKEN`]).
-    target_taken: u64,
-    /// Successor chain's first `pc_table` index.
-    start: u32,
-    /// One past the successor chain's last `pc_table` index.
-    end: u32,
-    /// Successor block id (rebuilds full descriptor state at loop exit).
-    next: u32,
-}
-
-/// Taken-bit flag in a [`ReplayStep::target_taken`].
-const STEP_TAKEN: u64 = 1 << 63;
-/// Sentinel for `replay_pos`: no replay active.
-const NO_REPLAY: u32 = u32::MAX;
-
-/// Hasher for the request-path memo: one multiply-fold over the key halves.
-///
-/// The memo lookup runs once per request begin; SipHash on the 12-byte key
-/// is a measurable slice of that. Hash quality only affects bucket spread
-/// (the map stores and compares full keys), so a multiplicative fold is
-/// safe — and the key space per executor is a few hundred entries.
-#[derive(Clone, Copy, Debug, Default)]
-struct PathHasher(u64);
-
-/// `BuildHasher` for [`PathHasher`].
-#[derive(Clone, Copy, Debug, Default)]
-struct BuildPathHasher;
-
-impl std::hash::Hasher for PathHasher {
-    #[inline]
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("path keys hash via write_u32/write_u64 only");
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        // Fibonacci-style multiply-xor fold (cf. FxHash).
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl std::hash::BuildHasher for BuildPathHasher {
-    type Hasher = PathHasher;
-    #[inline]
-    fn build_hasher(&self) -> PathHasher {
-        PathHasher(0)
-    }
 }
 
 impl<'c> CompiledExecutor<'c> {
     /// Creates a compiled executor with a dedicated dynamic-behaviour seed.
-    ///
-    /// The executor starts from a snapshot of the program's shared path
-    /// bank, so requests whose keys any earlier executor converged replay
-    /// from record zero; paths are seed-independent, so the snapshot is
-    /// valid under any seed.
     pub fn new(cp: &'c CompiledProgram, seed: u64) -> CompiledExecutor<'c> {
-        let (memo, snapshot) = {
-            let bank = cp.bank.lock().expect("path bank poisoned");
-            (bank.map.clone(), Arc::clone(&bank.paths))
-        };
         // Mirrors `Executor::new` draw for draw.
         let mut rng = DetRng::seed_from(seed ^ 0xE8EC_u64.rotate_left(32));
         let mut ex = CompiledExecutor {
@@ -716,24 +467,9 @@ impl<'c> CompiledExecutor<'c> {
             pre_trip: 0,
             pre_target: 0,
             next_cur: cp.desc[0],
-            snapshot_len: snapshot.len() as u32,
-            memo,
-            snapshot,
-            fresh: Vec::new(),
-            recording: None,
-            req_key: (0, 0),
-            replay_pos: NO_REPLAY,
-            replay_end: 0,
-            replay_staged: false,
-            prefetch: 0,
-            replay_depth: 0,
-            spare: Vec::new(),
-            stat_replayed: 0,
-            stat_recorded: 0,
-            stat_live: 0,
         };
         let first = ex.schedule_next();
-        ex.begin_request(first);
+        ex.enter(first);
         ex
     }
 
@@ -749,7 +485,7 @@ impl<'c> CompiledExecutor<'c> {
 
     /// Current call depth.
     pub fn call_depth(&self) -> usize {
-        self.stack.len() + self.replay_depth as usize
+        self.stack.len()
     }
 
     /// Fast-forwards the executor by `n` instructions (warm-up).
@@ -775,72 +511,6 @@ impl<'c> CompiledExecutor<'c> {
         self.cur = self.next_cur;
         self.run_idx = self.cur.start;
         self.stage();
-    }
-
-    /// Starts a request at `entry`: replays its memoized control path if
-    /// this `(entry, flavor)` was seen before, otherwise steps it live
-    /// (recording the path when the memo budget allows).
-    fn begin_request(&mut self, entry: u32) {
-        let key = (entry, self.flavor);
-        if let Some(&path) = self.memo.get(&key) {
-            self.stat_replayed += 1;
-            self.replay_pos = path.start;
-            self.replay_end = path.end;
-            self.cur = self.cp.desc[entry as usize];
-            self.run_idx = self.cur.start;
-            // Stage the first stored branch (no mixing: replayed
-            // terminators come from the stored path).
-            self.replay_stage();
-        } else {
-            self.stat_live += 1;
-            if self.snapshot_len as usize + self.fresh.len() < MEMO_STEPS {
-                let mut buf = std::mem::take(&mut self.spare);
-                buf.clear();
-                self.recording = Some(buf);
-                self.req_key = key;
-            }
-            self.enter(entry);
-        }
-    }
-
-    /// Stages the current chain's terminator from the memoized control
-    /// path: direction, record target, and successor were all resolved
-    /// when the step was recorded. Clears `replay_staged` when the stored
-    /// path is exhausted — the chain then ends in the request's top-level
-    /// return, which executes live.
-    /// The arena slice `[a, b)` of one memoized path. A path lives
-    /// entirely in one arena (recordings never straddle the snapshot
-    /// boundary), so the split costs one predictable branch per replay
-    /// session, not per step.
-    #[inline]
-    fn path_slice(&self, a: u32, b: u32) -> &[ReplayStep] {
-        if a < self.snapshot_len {
-            &self.snapshot[a as usize..b as usize]
-        } else {
-            let off = self.snapshot_len;
-            &self.fresh[(a - off) as usize..(b - off) as usize]
-        }
-    }
-
-    #[inline]
-    fn replay_stage(&mut self) {
-        if self.replay_pos < self.replay_end {
-            let step = self.path_slice(self.replay_pos, self.replay_end)[0];
-            self.replay_pos += 1;
-            self.pre_taken = step.target_taken & STEP_TAKEN != 0;
-            self.pre_target = step.target_taken & TERM_PC_MASK;
-            self.pre_next = step.next;
-            self.next_cur = self.cp.desc[step.next as usize];
-            self.prefetch = self
-                .cp
-                .pc_table
-                .get(step.start as usize)
-                .copied()
-                .unwrap_or(0);
-            self.replay_staged = true;
-        } else {
-            self.replay_staged = false;
-        }
     }
 
     /// Precomputes the current chain's terminator outcome (`pre_*`).
@@ -960,24 +630,8 @@ impl<'c> CompiledExecutor<'c> {
     #[inline(always)]
     fn terminate(&mut self) -> TraceRecord {
         let d = self.cur;
-
-        // Replay fast path: the branch outcome was staged ahead from the
-        // memoized control path — no mixing, no per-op side effects (only
-        // the externally visible call depth is tracked).
-        if self.replay_staged {
-            return self.replay_terminate();
-        }
-        if self.replay_pos != NO_REPLAY {
-            // Path exhausted: the current chain ends in the request's
-            // top-level return. Drop back to live stepping for it.
-            self.replay_pos = NO_REPLAY;
-            debug_assert_eq!(self.replay_depth, 0, "replayed request left calls open");
-            self.stage();
-        }
-
         let taken = self.pre_taken;
         let target = self.pre_target;
-        let mut request_end = false;
         match d.op {
             Op::CondForward | Op::Jump | Op::IndirectJump => {}
             Op::CondBack => {
@@ -1000,69 +654,11 @@ impl<'c> CompiledExecutor<'c> {
                     // stage time (same RNG order); only the observable
                     // request count lands here.
                     self.requests_completed += 1;
-                    request_end = true;
                 }
             }
             Op::FallThrough => unreachable!("chains are flattened; no fall-through terminators"),
         }
-        if request_end {
-            // The final return is not part of the memoized path (its
-            // target depends on the next scheduling draw).
-            if let Some(mut buf) = self.recording.take() {
-                if buf.len() <= MEMO_REQUEST_STEPS {
-                    let start = self.snapshot_len + self.fresh.len() as u32;
-                    self.fresh.extend_from_slice(&buf);
-                    self.memo.insert(
-                        self.req_key,
-                        PathRef {
-                            start,
-                            end: self.snapshot_len + self.fresh.len() as u32,
-                        },
-                    );
-                    self.stat_recorded += 1;
-                }
-                buf.clear();
-                self.spare = buf;
-            }
-            self.begin_request(self.pre_next);
-        } else {
-            if let Some(buf) = &mut self.recording {
-                // `next_cur` is the staged successor descriptor, so the
-                // step stores the transition fully resolved: the live
-                // `pre_target` already is the landed base for indirects
-                // and returns and the would-be target otherwise, exactly
-                // what replay must re-emit.
-                let nd = self.next_cur;
-                buf.push(ReplayStep {
-                    term_word: d.term_pc | ((d.op as u64) << 56),
-                    target_taken: target | ((taken as u64) << 63),
-                    start: nd.start,
-                    end: nd.end,
-                    next: self.pre_next,
-                });
-            }
-            self.advance();
-        }
-        self.instr_count += 1;
-        TraceRecord::branch(
-            VAddr::new(d.term_pc),
-            d.op.kind(),
-            taken,
-            VAddr::new(target),
-        )
-    }
-
-    /// Emits the staged replay branch and stages the next one. Callers
-    /// must have checked `replay_staged`.
-    #[inline(always)]
-    fn replay_terminate(&mut self) -> TraceRecord {
-        let d = self.cur;
-        let taken = self.pre_taken;
-        let target = self.pre_target;
-        self.replay_depth = (self.replay_depth as i32 + d.op.depth_delta() as i32) as u32;
-        self.cur = self.next_cur;
-        self.run_idx = self.cur.start;
-        self.replay_stage();
+        self.advance();
         self.instr_count += 1;
         TraceRecord::branch(
             VAddr::new(d.term_pc),
@@ -1101,91 +697,6 @@ impl<'c> CompiledExecutor<'c> {
     pub fn for_each_record(&mut self, n: u64, mut f: impl FnMut(TraceRecord)) {
         let mut left = n;
         while left > 0 {
-            // Replay fast loop: while whole staged chains (run + branch)
-            // fit in the remaining budget, emit them back to back with no
-            // per-chain mode dispatch — this is the warm steady state.
-            // Cursor and chain state live in locals for the duration: the
-            // executor struct is too big to stay register-resident, and
-            // with field-based stepping every chain transition round-trips
-            // ~100 bytes of state through the stack (measured as roughly
-            // half the per-chain cost).
-            if self.replay_staged {
-                let cp = self.cp;
-                // Stored steps are walked through a slice iterator (no
-                // per-chain bounds check), and every transition is one
-                // sequential [`ReplayStep`] load carrying the chain's
-                // branch outcome *and* the successor's run bounds — the
-                // loop never random-accesses the per-block tables and
-                // stages nothing across iterations. The iterator starts
-                // one step back: the staging that set `replay_staged`
-                // consumed the current chain's step, and the loop re-reads
-                // it in stream order instead of carrying six staged
-                // locals. `self.cur` is rebuilt once on exit from the last
-                // block id, and the exit `replay_stage` call re-stages the
-                // pull-path lookahead.
-                let mut path = self.path_slice(self.replay_pos - 1, self.replay_end).iter();
-                let mut run_idx = self.run_idx;
-                let mut run_end = self.cur.end;
-                let mut cur_id = NO_REPLAY;
-                let mut depth = self.replay_depth;
-                let entry_left = left;
-                loop {
-                    let avail = (run_end - run_idx) as u64;
-                    if avail >= left {
-                        break; // partial run; the generic loop handles it
-                    }
-                    // Plain runs average a handful of instructions, so the
-                    // emission loop is hand-unrolled by four (bounds checks
-                    // hoisted by `chunks_exact`): a rolled loop costs more
-                    // in per-record loop overhead than in record payload.
-                    let run = &cp.pc_table[run_idx as usize..(run_idx + avail as u32) as usize];
-                    let mut quads = run.chunks_exact(4);
-                    for q in quads.by_ref() {
-                        f(TraceRecord::plain(VAddr::new(q[0])));
-                        f(TraceRecord::plain(VAddr::new(q[1])));
-                        f(TraceRecord::plain(VAddr::new(q[2])));
-                        f(TraceRecord::plain(VAddr::new(q[3])));
-                    }
-                    for &pc in quads.remainder() {
-                        f(TraceRecord::plain(VAddr::new(pc)));
-                    }
-                    let Some(step) = path.next() else {
-                        // Stored path exhausted: the run just emitted was
-                        // the tail chain's; its top-level return executes
-                        // live (same protocol as `replay_stage` running
-                        // dry).
-                        run_idx += avail as u32;
-                        left -= avail;
-                        break;
-                    };
-                    let opx = (step.term_word >> 56) as usize & 7;
-                    f(TraceRecord::branch(
-                        VAddr::new(step.term_word & TERM_PC_MASK),
-                        KIND_BY_OP[opx],
-                        step.target_taken & STEP_TAKEN != 0,
-                        VAddr::new(step.target_taken & TERM_PC_MASK),
-                    ));
-                    depth = (depth as i32 + DEPTH_BY_OP[opx] as i32) as u32;
-                    cur_id = step.next;
-                    run_idx = step.start;
-                    run_end = step.end;
-                    left -= avail + 1;
-                }
-                let pos = self.replay_end - path.len() as u32;
-                if cur_id != NO_REPLAY {
-                    self.cur = cp.desc[cur_id as usize];
-                }
-                self.run_idx = run_idx;
-                self.replay_pos = pos;
-                self.replay_depth = depth;
-                self.instr_count += entry_left - left;
-                // Restore the one-step-ahead staging invariant the pull
-                // path relies on (clears `replay_staged` when dry).
-                self.replay_stage();
-            }
-            if left == 0 {
-                return;
-            }
             let avail = (self.cur.end - self.run_idx) as u64;
             if avail > 0 {
                 let run = avail.min(left);
@@ -1220,30 +731,11 @@ impl Iterator for CompiledExecutor<'_> {
     }
 }
 
-impl Drop for CompiledExecutor<'_> {
-    /// Contributes newly recorded paths and request counters back to the
-    /// program's shared bank, so the next executor — any job, core, or
-    /// shard over this translation — starts where this one left off.
-    fn drop(&mut self) {
-        let cp = self.cp;
-        // Release this executor's claim on the shared arena first: absorb
-        // appends through `Arc::make_mut`, and our own snapshot must not
-        // be what forces it to copy.
-        self.snapshot = Arc::default();
-        cp.absorb(self);
-    }
-}
-
 /// A record stream through either execution path, selected by [`ExecMode`].
 ///
 /// Consumers that must support the `--no-fastpath` escape hatch hold one of
 /// these instead of a concrete executor; both variants yield bit-identical
 /// streams for the same `(program, seed)`.
-// The size skew (the compiled executor carries its memo map and staging
-// state inline) is deliberate: streams are created once per core per job
-// and then stepped millions of times, so boxing the hot variant would
-// trade a one-time stack copy for an indirection on every record pull.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum RecordStream<'p> {
     /// The reference interpreter.
@@ -1468,26 +960,5 @@ mod tests {
     fn block_count_matches_program() {
         let p = Program::generate(&WorkloadSpec::tiny()).unwrap();
         assert_eq!(p.compiled().block_count(), p.stats().basic_blocks);
-    }
-
-    #[test]
-    fn warm_bank_is_shared_across_executors() {
-        let p = Program::generate(&WorkloadSpec::tiny()).unwrap();
-        let cp = p.compiled();
-        {
-            let mut ex = cp.executor(5);
-            ex.for_each_record(80_000, |_| {});
-        }
-        let cold = cp.memo_stats();
-        assert!(cold.recorded > 0, "first executor records");
-        // The second executor replays the first one's paths and still
-        // matches the reference executor record for record.
-        assert_streams_equal(&p, 5, 80_000);
-        let warm = cp.memo_stats();
-        assert_eq!(
-            warm.recorded, cold.recorded,
-            "an identical second executor replays instead of re-recording"
-        );
-        assert!(warm.replayed > cold.replayed);
     }
 }

@@ -10,12 +10,11 @@
 //! `structure_seed`: the same spec always produces the identical program,
 //! byte for byte, so simulation results are reproducible.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use confluence_types::{
     BlockAddr, BranchKind, ConfigError, DetRng, PredecodeSource, PredecodedBranch, VAddr,
-    INSTR_BYTES,
+    BLOCK_BYTES, INSTR_BYTES,
 };
 
 use crate::compile::CompiledProgram;
@@ -136,8 +135,12 @@ pub struct Program {
     request_entries: Vec<(u32, f64)>,
     /// Entry basic blocks of OS service routines (uniform weights).
     os_entries: Vec<u32>,
-    /// Predecode oracle: block address -> static branches in the block.
-    predecode: HashMap<BlockAddr, Vec<PredecodedBranch>>,
+    /// Predecode oracle: every static branch, in address order.
+    predecode: Vec<PredecodedBranch>,
+    /// `predecode_start[i]..predecode_start[i + 1]` is the slice of
+    /// `predecode` in the `i`-th code block; one entry per code block plus
+    /// a final end offset.
+    predecode_start: Vec<u32>,
     stats: ProgramStats,
     /// Lazily translated fast-path form (see [`Program::compiled`]).
     compiled: OnceLock<Arc<CompiledProgram>>,
@@ -199,7 +202,14 @@ impl Program {
 
 impl PredecodeSource for Program {
     fn branches_in_block(&self, block: BlockAddr) -> &[PredecodedBranch] {
-        self.predecode.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        // Blocks below the code range wrap to an index past its end.
+        let i = block.raw().wrapping_sub(CODE_BASE / BLOCK_BYTES as u64);
+        if i >= (self.predecode_start.len() - 1) as u64 {
+            return &[];
+        }
+        let i = i as usize;
+        let (start, end) = (self.predecode_start[i], self.predecode_start[i + 1]);
+        &self.predecode[start as usize..end as usize]
     }
 }
 
@@ -268,7 +278,8 @@ impl Builder {
         self.request_entries = entries;
         self.os_entries = top.os.clone();
 
-        let predecode = self.build_predecode();
+        let code_blocks = predecode_block_span(CODE_BASE, self.cursor);
+        let (predecode, predecode_start) = self.build_predecode(code_blocks);
         let stats = ProgramStats {
             code_bytes: (self.cursor - CODE_BASE) as usize,
             functions: total_funcs,
@@ -278,7 +289,7 @@ impl Builder {
                 .iter()
                 .filter(|b| !matches!(b.term, Term::FallThrough))
                 .count(),
-            code_blocks: predecode_block_span(CODE_BASE, self.cursor),
+            code_blocks,
         };
 
         Program {
@@ -287,6 +298,7 @@ impl Builder {
             request_entries: self.request_entries,
             os_entries: self.os_entries,
             predecode,
+            predecode_start,
             stats,
             compiled: OnceLock::new(),
         }
@@ -674,12 +686,21 @@ impl Builder {
         self.bbs.push(Bb { base, plain, term });
     }
 
-    /// Builds the predecode oracle from the laid-out basic blocks.
-    fn build_predecode(&self) -> HashMap<BlockAddr, Vec<PredecodedBranch>> {
-        let mut map: HashMap<BlockAddr, Vec<PredecodedBranch>> = HashMap::new();
+    /// Builds the predecode oracle from the laid-out basic blocks: the
+    /// branches in address order, and each of the `code_blocks` blocks'
+    /// start offset into them. Blocks are laid out at rising addresses, so
+    /// the terminators come in address order already.
+    fn build_predecode(&self, code_blocks: usize) -> (Vec<PredecodedBranch>, Vec<u32>) {
+        let first = CODE_BASE / BLOCK_BYTES as u64;
+        let mut branches = Vec::new();
+        let mut start = Vec::with_capacity(code_blocks + 1);
         for bb in &self.bbs {
             let Some(kind) = bb.term.kind() else { continue };
             let pc = bb.term_pc();
+            let i = (pc.block().raw() - first) as usize;
+            while start.len() <= i {
+                start.push(branches.len() as u32);
+            }
             let target = match &bb.term {
                 Term::Cond { target, .. }
                 | Term::Jump { target }
@@ -690,12 +711,10 @@ impl Builder {
                 Some(t) => PredecodedBranch::direct(pc.instr_index() as u8, kind, t),
                 None => PredecodedBranch::indirect(pc.instr_index() as u8, kind),
             };
-            map.entry(pc.block()).or_default().push(branch);
+            branches.push(branch);
         }
-        for v in map.values_mut() {
-            v.sort_by_key(|b| b.offset);
-        }
-        map
+        start.resize(code_blocks + 1, branches.len() as u32);
+        (branches, start)
     }
 }
 
@@ -795,6 +814,42 @@ mod tests {
             blocks_checked += 1;
         }
         assert!(blocks_checked > 0);
+    }
+
+    #[test]
+    fn predecode_table_matches_a_per_block_map() {
+        use std::collections::HashMap;
+        let p = Program::generate(&WorkloadSpec::tiny()).unwrap();
+        let mut map: HashMap<BlockAddr, Vec<PredecodedBranch>> = HashMap::new();
+        for bb in p.bbs() {
+            let Some(kind) = bb.term.kind() else { continue };
+            let pc = bb.term_pc();
+            let branch = match &bb.term {
+                Term::Cond { target, .. }
+                | Term::Jump { target }
+                | Term::Call { callee: target } => PredecodedBranch::direct(
+                    pc.instr_index() as u8,
+                    kind,
+                    p.bbs()[*target as usize].base,
+                ),
+                _ => PredecodedBranch::indirect(pc.instr_index() as u8, kind),
+            };
+            map.entry(pc.block()).or_default().push(branch);
+        }
+        for v in map.values_mut() {
+            v.sort_by_key(|b| b.offset);
+        }
+        let first = VAddr::new(CODE_BASE).block().raw();
+        let end = first + p.stats().code_blocks as u64;
+        for raw in first - 1..=end {
+            let block = BlockAddr::from_raw(raw);
+            let want = map.get(&block).map(Vec::as_slice).unwrap_or(&[]);
+            assert_eq!(p.branches_in_block(block), want, "block {raw:#x}");
+        }
+        assert_eq!(
+            map.values().map(Vec::len).sum::<usize>(),
+            p.stats().static_branches
+        );
     }
 
     #[test]

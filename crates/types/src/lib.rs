@@ -30,6 +30,7 @@ mod addr;
 mod branch;
 mod error;
 mod fetch;
+mod hash;
 mod record;
 mod rng;
 mod storage;
@@ -38,6 +39,7 @@ pub use addr::{BlockAddr, VAddr, BLOCK_BYTES, INSTRS_PER_BLOCK, INSTR_BYTES, VAD
 pub use branch::{BranchClass, BranchKind, PredecodedBranch};
 pub use error::ConfigError;
 pub use fetch::FetchRegion;
+pub use hash::{BuildFoldHasher, FoldHasher};
 pub use record::{BranchOutcome, TraceRecord};
 pub use rng::DetRng;
 pub use storage::{SramArray, StorageProfile};

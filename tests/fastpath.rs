@@ -9,13 +9,13 @@
 //!    suite generates through both modes and asserting identical
 //!    [`JobOutput`]s plus byte-identical rendered reports;
 //! 2. property tests over randomized [`WorkloadSpec`]s asserting the
-//!    two record streams agree record-for-record, cold and with a warm
-//!    path memo.
+//!    two record streams agree record-for-record, one compiled executor
+//!    alone and two sharing one translation.
 
 use proptest::prelude::*;
 
 use confluence::sim::{experiments, ExecMode, Job, Results, SimEngine};
-use confluence::trace::{Program, WorkloadSpec};
+use confluence::trace::{CompiledProgram, Program, WorkloadSpec};
 
 /// Every job of the `--quick` suite, executed through both the compiled
 /// fast path and the reference interpreter, produces identical outputs
@@ -110,42 +110,39 @@ proptest! {
         prop_assert_eq!(fast.requests_completed(), reference.requests_completed());
     }
 
-    /// The request-path memo is a pure performance layer: for arbitrary
-    /// workload shapes, the paths one compiled stream records into the
-    /// program's shared bank replay in a second stream record-for-record
-    /// identically to the reference interpreter.
+    /// A translation is shared state: two compiled executors over one
+    /// [`CompiledProgram`], stepped alternately record by record, each
+    /// still agree with their own reference stream.
     #[test]
-    fn warm_bank_replays_bit_identically(
-        seed in any::<u64>(),
+    fn interleaved_executors_match_their_references(
+        seed_a in any::<u64>(),
+        seed_b in any::<u64>(),
         structure_seed in any::<u64>(),
-        kb in 32usize..48,
+        kb in 32usize..64,
     ) {
         let spec = WorkloadSpec {
             structure_seed,
             ..WorkloadSpec::tiny().with_code_kb(kb)
         };
         let program = Program::generate(&spec).expect("valid randomized spec");
-        {
-            let mut cold = program.stream(seed, ExecMode::Compiled);
-            for _ in 0..12_000u64 {
-                cold.next_record();
+        let cp = CompiledProgram::compile(&program);
+        let mut compiled = [cp.executor(seed_a), cp.executor(seed_b)];
+        let mut reference = [program.executor(seed_a), program.executor(seed_b)];
+        for i in 0..12_000u64 {
+            for (k, (c, r)) in compiled.iter_mut().zip(&mut reference).enumerate() {
+                prop_assert_eq!(
+                    c.next_record(),
+                    r.next_record(),
+                    "executor {} diverged at record {}",
+                    k,
+                    i
+                );
             }
         }
-        let before = program.compiled().memo_stats();
-        let mut warm = program.stream(seed, ExecMode::Compiled);
-        let mut reference = program.stream(seed, ExecMode::Reference);
-        for i in 0..12_000u64 {
-            prop_assert_eq!(
-                warm.next_record(),
-                reference.next_record(),
-                "warm replay diverged from the reference at record {}",
-                i
-            );
+        for (c, r) in compiled.iter().zip(&reference) {
+            prop_assert_eq!(c.instr_count(), r.instr_count());
+            prop_assert_eq!(c.requests_completed(), r.requests_completed());
+            prop_assert_eq!(c.call_depth(), r.call_depth());
         }
-        drop(warm);
-        prop_assert!(
-            program.compiled().memo_stats().replayed > before.replayed,
-            "the warm bank must actually replay"
-        );
     }
 }

@@ -1,38 +1,44 @@
-//! Allocation budget of the CMP timing tick.
+//! Allocation budgets of the CMP timing tick and the record stream.
 //!
 //! One simulated core-cycle must not touch the heap once a run is warm:
 //! every per-cycle buffer is owned and reused by the core, and the BTB
 //! fill paths keep their groups and bundles in place. Set-up allocates
 //! freely, and growing tables allocate a logarithmic number of times, so
 //! the test runs every design point at two instruction budgets and
-//! divides the extra allocations by the extra core-cycles.
+//! divides the extra allocations by the extra core-cycles. A compiled
+//! record stream is held to bytes instead: ten times the records may
+//! cost only a few kilobytes more, so an executor's memory cannot grow
+//! with the length of the stream.
 //!
 //! The counting allocator is this binary's global allocator, which is why
-//! the test lives in a test binary of its own. It counts only on the
-//! thread that sets the flag, so the test harness's own threads do not
-//! disturb the count.
+//! the tests live in a test binary of their own. It counts only on the
+//! thread that sets the flag, into that thread's own counters, so the
+//! test harness's other threads do not disturb a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hint::black_box;
 
 use confluence::sim::{simulate_cmp, DesignPoint, TimingConfig};
-use confluence::trace::{Program, WorkloadSpec};
+use confluence::trace::{CompiledProgram, Program, WorkloadSpec};
 use confluence_uarch::MemParams;
-
-/// Allocations made while counting was on. The default `realloc` and
-/// `alloc_zeroed` go through `alloc`, so they count too.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations made on this thread while counting was on. The default
+    /// `realloc` and `alloc_zeroed` go through `alloc`, so they count too.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for; a `realloc` counts its whole
+    /// new size.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note_allocation() {
+fn note_allocation(size: usize) {
     // `try_with` fails only while the thread's locals are torn down, when
     // nothing is being measured.
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|b| b.set(b.get() + size as u64));
     }
 }
 
@@ -40,11 +46,11 @@ struct CountingAllocator;
 
 // SAFETY: `alloc` and `dealloc` forward their arguments unchanged to
 // `System`, which upholds the `GlobalAlloc` contract, and the default
-// methods are built on those two; counting touches only an atomic and a
-// const-initialised thread-local, neither of which allocates.
+// methods are built on those two; counting touches only const-initialised
+// thread-locals, none of which allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
+        note_allocation(layout.size());
         // SAFETY: the caller's guarantees for `layout` are passed on.
         unsafe { System.alloc(layout) }
     }
@@ -57,6 +63,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Runs `f` with counting on; returns its result, its allocations and
+/// their bytes.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    COUNTING.with(|c| c.set(true));
+    let result = f();
+    COUNTING.with(|c| c.set(false));
+    (
+        result,
+        ALLOCATIONS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
+}
 
 /// Allocations per extra core-cycle a design may make.
 const MAX_ALLOCS_PER_CORE_CYCLE: f64 = 0.001;
@@ -78,11 +98,7 @@ fn allocations_of_run(program: &Program, design: DesignPoint, instrs: u64) -> (u
         },
         ..TimingConfig::default()
     };
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
-    let result = simulate_cmp(program, design, &cfg);
-    COUNTING.with(|c| c.set(false));
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (result, allocations, _) = counted(|| simulate_cmp(program, design, &cfg));
     (allocations, result.total_cycles * cfg.cores as u64)
 }
 
@@ -110,5 +126,44 @@ fn timing_tick_makes_no_steady_state_allocations() {
         over.is_empty(),
         "allocations per extra core-cycle at or above {MAX_ALLOCS_PER_CORE_CYCLE}: {}",
         over.join(", ")
+    );
+}
+
+/// Extra bytes a compiled executor may allocate over the extra records of
+/// the long stream.
+const MAX_STREAM_GROWTH_BYTES: u64 = 64 * 1024;
+
+/// Record counts of the short and the long stream.
+const STREAM_RECORDS: [u64; 2] = [100_000, 1_000_000];
+
+/// Bytes allocated while one executor over a fresh translation streams
+/// `records` records. A fresh translation per run keeps whatever an
+/// earlier run left behind out of the count.
+fn stream_bytes(program: &Program, records: u64) -> u64 {
+    let cp = CompiledProgram::compile(program);
+    let ((), _, bytes) = counted(|| {
+        let mut ex = cp.executor(7);
+        ex.for_each_record(records, |r| {
+            black_box(r);
+        });
+    });
+    bytes
+}
+
+#[test]
+fn record_stream_memory_stays_flat() {
+    let program = Program::generate(&WorkloadSpec::base().with_code_kb(96)).unwrap();
+    let short = stream_bytes(&program, STREAM_RECORDS[0]);
+    let long = stream_bytes(&program, STREAM_RECORDS[1]);
+    eprintln!(
+        "{} -> {} records: {short} -> {long} bytes allocated",
+        STREAM_RECORDS[0], STREAM_RECORDS[1]
+    );
+    assert!(
+        long.saturating_sub(short) <= MAX_STREAM_GROWTH_BYTES,
+        "a compiled executor allocated {} more bytes for {} more records \
+         (at most {MAX_STREAM_GROWTH_BYTES} allowed)",
+        long.saturating_sub(short),
+        STREAM_RECORDS[1] - STREAM_RECORDS[0]
     );
 }
