@@ -1,12 +1,16 @@
-//! The paper's primary contribution: **AirBTB** and the **Confluence**
-//! unified instruction-supply frontend.
+//! The paper's primary contribution: **AirBTB**, the block-grain BTB of
+//! the **Confluence** unified instruction-supply frontend.
 //!
 //! Confluence's observation: the L1-I prefetcher and the BTB both need the
 //! same control-flow history, differing only in granularity (blocks vs
 //! individual branches). [`AirBtb`] bridges the gap with a block-grain BTB
-//! whose contents mirror the L1-I, and [`ConfluenceFrontend`] wires it to a
-//! SHIFT stream prefetcher so one LLC-virtualized history fills both
-//! structures ahead of the fetch stream.
+//! whose contents mirror the L1-I: its
+//! [`on_l1i_fill`](confluence_btb::BtbDesign::on_l1i_fill) and
+//! [`on_l1i_evict`](confluence_btb::BtbDesign::on_l1i_evict) hooks follow
+//! every L1-I fill and eviction, so the SHIFT prefetcher that fills the
+//! L1-I ahead of the fetch stream fills AirBTB too, from one
+//! LLC-virtualized history. `confluence-sim`'s coverage harness and timing
+//! core wire the two together through those hooks.
 //!
 //! # Example
 //!
@@ -24,9 +28,7 @@
 #![warn(missing_docs)]
 
 mod airbtb;
-mod frontend;
 
 pub use airbtb::{
     AirBtb, AirBtbMode, DEFAULT_BUNDLES, DEFAULT_BUNDLE_ENTRIES, DEFAULT_OVERFLOW_ENTRIES,
 };
-pub use frontend::ConfluenceFrontend;

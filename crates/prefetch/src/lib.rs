@@ -29,11 +29,9 @@
 
 #![warn(missing_docs)]
 
-mod consolidation;
 mod fdp;
 mod shift;
 
-pub use consolidation::ConsolidatedHistories;
 pub use fdp::Fdp;
 pub use shift::{
     HistoryView, ShiftEngine, ShiftHistory, StreamCursor, DEFAULT_HISTORY_ENTRIES,

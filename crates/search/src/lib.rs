@@ -33,6 +33,5 @@ pub mod strategy;
 pub use driver::{run_search, SearchOutcome, MAX_ITERATIONS};
 pub use objective::{find, registry, AnswerRule, PointEval, Study, StudyKind};
 pub use strategy::{
-    CoordinateDescent, GoldenSection, Point, SearchStrategy, SplitMix64, ThresholdBisection,
-    ThresholdSense,
+    CoordinateDescent, GoldenSection, Point, SearchStrategy, ThresholdBisection, ThresholdSense,
 };

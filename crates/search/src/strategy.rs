@@ -18,6 +18,8 @@
 
 use std::collections::BTreeMap;
 
+use confluence_types::SplitMix64;
+
 /// A point in the search space: one index per axis, each in
 /// `0..axis_len`.
 pub type Point = Vec<usize>;
@@ -35,28 +37,6 @@ pub trait SearchStrategy {
     fn propose(&mut self) -> Vec<Point>;
     /// Feedback for the last proposed batch, in proposal order.
     fn observe(&mut self, scored: &[(Point, f64)]);
-}
-
-/// SplitMix64 — the standard 64-bit mixing PRNG. Tiny, seedable, and
-/// identical on every platform, which is all the search needs (it only
-/// picks starting points; the descent itself is deterministic).
-#[derive(Clone, Debug)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// The next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 }
 
 /// Golden-section search for the maximum of a unimodal function over a
@@ -419,20 +399,5 @@ mod tests {
         // The climb always tops out at the all-max corner.
         assert_eq!(run(1).1, vec![4, 3, 2]);
         assert_eq!(run(2).1, vec![4, 3, 2]);
-    }
-
-    #[test]
-    fn splitmix_is_stable() {
-        // Reference values pin the stream so goldens cannot drift.
-        let mut rng = SplitMix64::new(42);
-        let first: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
-        assert_eq!(
-            first,
-            vec![
-                13679457532755275413,
-                2949826092126892291,
-                5139283748462763858
-            ]
-        );
     }
 }

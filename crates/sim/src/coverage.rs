@@ -284,21 +284,13 @@ pub fn run_coverage_mode(
     result
 }
 
-/// Runs the functional harness with a freshly built BTB.
+/// Runs the functional harness with a freshly built BTB, through an
+/// explicit execution path.
 ///
 /// This is the `Send`-friendly entry point used by the experiment engine:
 /// instead of threading externally owned `&mut dyn BtbDesign` state through
 /// the call, the job supplies a factory and the whole simulation is
 /// self-contained — exactly what makes job-level parallelism safe.
-pub fn run_coverage_with(
-    program: &Program,
-    make_btb: impl FnOnce() -> Box<dyn BtbDesign>,
-    opts: &CoverageOptions,
-) -> CoverageResult {
-    run_coverage_with_mode(program, make_btb, opts, ExecMode::from_env())
-}
-
-/// [`run_coverage_with`] through an explicit execution path.
 pub fn run_coverage_with_mode(
     program: &Program,
     make_btb: impl FnOnce() -> Box<dyn BtbDesign>,
@@ -309,14 +301,10 @@ pub fn run_coverage_with_mode(
     run_coverage_mode(program, &mut *btb, opts, mode)
 }
 
-/// Table 2's branch-density characterization: mean static branches per
-/// demand-fetched block, and mean distinct taken branches executed during a
-/// block's L1-I residency ("dynamic").
-pub fn branch_density(program: &Program, instrs: u64, seed: u64) -> (f64, f64) {
-    branch_density_mode(program, instrs, seed, ExecMode::from_env())
-}
-
-/// [`branch_density`] through an explicit execution path.
+/// Table 2's branch-density characterization, through an explicit
+/// execution path: mean static branches per demand-fetched block, and mean
+/// distinct taken branches executed during a block's L1-I residency
+/// ("dynamic").
 ///
 /// Shares its block-touch filter (`BlockResidency`) with the coverage
 /// harness, so both define a block touch (and therefore a residency)
@@ -491,7 +479,7 @@ mod tests {
     #[test]
     fn branch_density_matches_table2_band() {
         let p = program();
-        let (stat, dynamic) = branch_density(&p, 600_000, 1);
+        let (stat, dynamic) = branch_density_mode(&p, 600_000, 1, ExecMode::Compiled);
         assert!((2.0..5.5).contains(&stat), "static {stat}");
         assert!((0.5..3.5).contains(&dynamic), "dynamic {dynamic}");
         assert!(dynamic < stat, "dynamic must be below static");

@@ -2,7 +2,7 @@
 //! paper's evaluation.
 
 use confluence_btb::{BtbDesign, ConventionalBtb, IdealBtb, PerfectBtb, PhantomBtb, TwoLevelBtb};
-use confluence_core::{AirBtb, AirBtbMode};
+use confluence_core::AirBtb;
 use confluence_prefetch::ShiftHistory;
 use confluence_types::StorageProfile;
 
@@ -136,21 +136,6 @@ impl DesignPoint {
             }
         }
     }
-
-    /// True if this design keeps AirBTB synchronized with the L1-I.
-    pub fn syncs_btb_with_l1i(self) -> bool {
-        matches!(self, DesignPoint::Confluence)
-    }
-}
-
-/// Builds an AirBTB ablation-ladder design (Figure 8).
-pub fn airbtb_ablation(mode: AirBtbMode) -> AirBtb {
-    AirBtb::new(
-        mode,
-        confluence_core::DEFAULT_BUNDLES,
-        confluence_core::DEFAULT_BUNDLE_ENTRIES,
-        confluence_core::DEFAULT_OVERFLOW_ENTRIES,
-    )
 }
 
 #[cfg(test)]
@@ -172,7 +157,36 @@ mod tests {
         assert_eq!(DesignPoint::Confluence.prefetch(), PrefetchScheme::Shift);
         assert!(DesignPoint::Ideal.perfect_l1i());
         assert!(DesignPoint::Confluence.predecodes_fills());
-        assert!(DesignPoint::Confluence.syncs_btb_with_l1i());
+    }
+
+    #[test]
+    fn timing_and_coverage_build_the_same_btb() {
+        // A timing job builds its BTB through `build_btb`, a coverage job
+        // through `BtbSpec::build`; comparing a design across the two
+        // harnesses assumes both factories agree. The match is exhaustive,
+        // so a new design point must be mapped here before this compiles.
+        use crate::job::BtbSpec;
+        use confluence_trace::{Program, WorkloadSpec};
+        let llc_latency = 30;
+        let program = std::sync::Arc::new(Program::generate(&WorkloadSpec::tiny()).unwrap());
+        for d in DesignPoint::ALL {
+            let spec = match d {
+                DesignPoint::Baseline | DesignPoint::BaselineShift | DesignPoint::Fdp => {
+                    BtbSpec::Baseline1k
+                }
+                DesignPoint::PhantomFdp | DesignPoint::PhantomShift => {
+                    BtbSpec::Phantom { llc_latency }
+                }
+                DesignPoint::TwoLevelFdp | DesignPoint::TwoLevelShift => BtbSpec::TwoLevelPaper,
+                DesignPoint::Confluence => BtbSpec::airbtb_paper(),
+                DesignPoint::IdealBtbShift => BtbSpec::Ideal16k,
+                DesignPoint::Ideal => BtbSpec::Perfect,
+            };
+            let timing = d.build_btb(llc_latency);
+            let coverage = spec.build(&program);
+            assert_eq!(timing.name(), coverage.name(), "{d:?}");
+            assert_eq!(timing.storage(), coverage.storage(), "{d:?}");
+        }
     }
 
     #[test]

@@ -25,10 +25,10 @@ pub use codec::SCHEMA_VERSION;
 pub use confluence_serve::EngineStats;
 pub use confluence_trace::{ExecMode, NO_FASTPATH_ENV};
 pub use coverage::{
-    branch_density, branch_density_mode, run_coverage, run_coverage_mode, run_coverage_with,
-    run_coverage_with_mode, CoverageOptions, CoverageResult, DEFAULT_L1I_KB,
+    branch_density_mode, run_coverage, run_coverage_mode, run_coverage_with_mode, CoverageOptions,
+    CoverageResult, DEFAULT_L1I_KB,
 };
-pub use designs::{airbtb_ablation, DesignPoint, PrefetchScheme};
+pub use designs::{DesignPoint, PrefetchScheme};
 pub use engine::{Results, SimEngine};
 pub use job::{BtbSpec, CoverageJob, DensityJob, Job, JobOutput, TimingJob};
 pub use peers::{PeerSet, DEFAULT_PEER_TIMEOUT};

@@ -18,7 +18,8 @@
 //!   fetch queue discarded plus a full pipeline-refill bubble;
 //! - **L1-I miss** — fetch stalls until the fill returns from the LLC
 //!   (MSHR-tracked; prefetched blocks may be partially in flight);
-//! - **Confluence demand fill** — adds the predecoder's scan latency.
+//! - **Confluence fill** — every L1-I fill, demand or prefetch, adds the
+//!   predecoder's scan latency ([`DEFAULT_PREDECODE_LATENCY`]).
 //!
 //! # The two-phase tick
 //!
@@ -44,7 +45,7 @@ use confluence_types::{
 };
 use confluence_uarch::{
     CoreParams, FillKind, FillRequest, HybridDirectionPredictor, IndirectTargetCache, L1ICache,
-    MshrFile, Predecoder, ReturnAddressStack, SharedLlc, PENDING_FILL,
+    MshrFile, ReturnAddressStack, SharedLlc, DEFAULT_PREDECODE_LATENCY, PENDING_FILL,
 };
 
 use crate::designs::{DesignPoint, PrefetchScheme};
@@ -143,7 +144,6 @@ pub struct CoreFrontend<'p> {
     shift: Option<ShiftEngine>,
     l1i: L1ICache,
     mshrs: MshrFile,
-    predecoder: Predecoder,
     perfect_l1i: bool,
     predecode_fills: bool,
     records_history: bool,
@@ -201,7 +201,6 @@ impl<'p> CoreFrontend<'p> {
             shift: matches!(design.prefetch(), PrefetchScheme::Shift).then(ShiftEngine::new),
             l1i: L1ICache::new_32k(),
             mshrs: MshrFile::new(confluence_uarch::MemParams::default().l1i_mshrs),
-            predecoder: Predecoder::new(),
             perfect_l1i: design.perfect_l1i(),
             predecode_fills: design.predecodes_fills(),
             records_history: id == 0,
@@ -468,7 +467,7 @@ impl<'p> CoreFrontend<'p> {
     /// Confluence predecoder's scan, for designs that predecode fills).
     fn fill_extra_latency(&self) -> u64 {
         if self.predecode_fills {
-            self.predecoder.latency()
+            DEFAULT_PREDECODE_LATENCY
         } else {
             0
         }
@@ -783,6 +782,52 @@ mod tests {
             ideal_btb.btb_misses,
             base.btb_misses
         );
+    }
+
+    #[test]
+    fn only_confluence_fills_pay_the_predecode_latency() {
+        // Steps each core phase by phase so every deferred fill is seen
+        // before the commit consumes it: Confluence predecodes every fill,
+        // demand or prefetch; the 1K BTB designs predecode none. The
+        // program outgrows the L1-I, so SHIFT has misses to stream from.
+        let program = Program::generate(&WorkloadSpec::base()).unwrap();
+        for (design, extra) in [
+            (DesignPoint::Confluence, DEFAULT_PREDECODE_LATENCY),
+            (DesignPoint::Baseline, 0),
+            (DesignPoint::BaselineShift, 0),
+        ] {
+            let mut llc = SharedLlc::new(MemParams::default()).unwrap();
+            let mut history = ShiftHistory::with_capacity(8192);
+            let mut core = CoreFrontend::new(
+                0,
+                &program,
+                design,
+                30,
+                CoreParams::default(),
+                10_000,
+                20_000,
+                7,
+                ExecMode::from_env(),
+            );
+            let (mut demand, mut prefetch) = (0, 0);
+            let mut now = 0;
+            while !core.is_done() && now < 1_500_000 {
+                core.step_local(now, &mut HistoryView::Writer(&mut history));
+                for req in &core.pending_fills {
+                    assert_eq!(req.extra_latency, extra, "{design:?} fill of {}", req.block);
+                    match req.kind {
+                        FillKind::Demand => demand += 1,
+                        FillKind::Prefetch(_) => prefetch += 1,
+                    }
+                }
+                core.commit_fills(now, &mut llc);
+                now += 1;
+            }
+            assert!(core.is_done(), "{design:?} did not finish");
+            assert!(demand > 0, "{design:?} issued no demand fill");
+            let shift = design.prefetch() == PrefetchScheme::Shift;
+            assert_eq!(prefetch > 0, shift, "{design:?}: {prefetch} prefetches");
+        }
     }
 
     #[test]

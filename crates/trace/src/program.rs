@@ -168,14 +168,6 @@ impl Program {
         self.stats
     }
 
-    /// Entry addresses and popularity weights of the request types.
-    pub fn request_entry_addrs(&self) -> Vec<(VAddr, f64)> {
-        self.request_entries
-            .iter()
-            .map(|&(bb, w)| (self.bbs[bb as usize].base, w))
-            .collect()
-    }
-
     /// True if the given 64-byte block holds generated code.
     pub fn block_has_code(&self, block: BlockAddr) -> bool {
         let base = CODE_BASE >> 6;

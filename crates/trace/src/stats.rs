@@ -7,9 +7,12 @@ use confluence_types::{BlockAddr, BranchKind, PredecodeSource, TraceRecord, VAdd
 
 /// Aggregate statistics over a committed instruction trace.
 ///
-/// `TraceStats` powers the Table 2 reproduction (static branch density of
-/// demand-touched blocks) and the workload sanity checks behind Figure 1
-/// (distinct taken-branch working set = BTB footprint).
+/// `TraceStats` characterizes one trace prefix for inspection (the
+/// `trace_inspect` example prints it): instruction mix, block working set,
+/// and the distinct taken-branch PCs that make up the BTB footprint. Its
+/// static density averages over distinct touched blocks; the Table 2
+/// report instead runs `confluence_sim::branch_density_mode`, which
+/// averages over demand fetches through a 32 KB L1-I.
 #[derive(Clone, Debug, Default)]
 pub struct TraceStats {
     /// Total committed instructions.
@@ -27,7 +30,7 @@ pub struct TraceStats {
     /// Distinct program counters of taken branches (the BTB footprint).
     pub unique_taken_branch_pcs: u64,
     /// Mean statically-resident branches per distinct touched block
-    /// (Table 2 "static" row).
+    /// (compare Table 2's "static" row, which counts demand fetches).
     pub static_branches_per_block: f64,
     /// Distinct basic-block start addresses observed (conventional BTB
     /// entry footprint under basic-block tagging).

@@ -41,7 +41,7 @@ pub use error::ConfigError;
 pub use fetch::FetchRegion;
 pub use hash::{BuildFoldHasher, FoldHasher};
 pub use record::{BranchOutcome, TraceRecord};
-pub use rng::DetRng;
+pub use rng::{DetRng, SplitMix64};
 pub use storage::{SramArray, StorageProfile};
 
 /// Oracle access to the static branch contents of instruction blocks.

@@ -208,24 +208,6 @@ impl<V> SetAssocCache<V> {
         evicted
     }
 
-    /// Inserts `key` at LRU position (lowest priority), as prefetchers
-    /// sometimes do to limit pollution. Returns the evicted line.
-    pub fn insert_lru(&mut self, key: u64, value: V) -> Option<(u64, V)> {
-        let set = self.set_of(key);
-        let allowed = self.ways - self.reserved_ways[set];
-        let lines = &mut self.sets[set];
-        if lines.iter().any(|l| l.key == key) {
-            return None;
-        }
-        let evicted = if lines.len() >= allowed.max(1) {
-            lines.pop().map(|l| (l.key, l.value))
-        } else {
-            None
-        };
-        lines.push(Line { key, value });
-        evicted
-    }
-
     /// Removes `key`, returning its payload.
     pub fn invalidate(&mut self, key: u64) -> Option<V> {
         let set = self.set_of(key);
@@ -344,14 +326,6 @@ mod tests {
         c.insert(1, 1);
         // Only 2 ways remain: the third insert evicts.
         assert!(c.insert(2, 2).is_some());
-    }
-
-    #[test]
-    fn insert_lru_is_first_victim() {
-        let mut c = SetAssocCache::new(1, 2).unwrap();
-        c.insert(1, 'a');
-        c.insert_lru(3, 'p'); // prefetch at LRU
-        assert_eq!(c.insert(5, 'b'), Some((3, 'p')));
     }
 
     #[test]

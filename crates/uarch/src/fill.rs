@@ -24,6 +24,16 @@ use crate::llc::SharedLlc;
 /// of the issuing cycle replaces it before any cycle advances.
 pub const PENDING_FILL: u64 = u64::MAX;
 
+/// Cycles the Confluence predecoder adds to every L1-I fill.
+///
+/// The paper's predecoder scans a block for branches as it arrives from
+/// the LLC, extracting each branch's type and PC-relative displacement
+/// before the block enters the L1-I and AirBTB (Section 3.2), and cites
+/// "a few cycles" for the scan (SPARC T4-style predecode). The branch
+/// contents themselves come from the program's
+/// [`PredecodeSource`](confluence_types::PredecodeSource) oracle.
+pub const DEFAULT_PREDECODE_LATENCY: u64 = 2;
+
 /// What kind of fill the request tracks, i.e. which private reservation
 /// the committed latency patches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,8 +52,8 @@ pub struct FillRequest {
     pub block: BlockAddr,
     /// Which reservation the latency lands in.
     pub kind: FillKind,
-    /// Core-private latency added on top of the LLC access (the
-    /// Confluence predecoder's scan, for designs that predecode fills).
+    /// Core-private latency added on top of the LLC access
+    /// ([`DEFAULT_PREDECODE_LATENCY`] for designs that predecode fills).
     pub extra_latency: u64,
 }
 

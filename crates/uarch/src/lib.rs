@@ -4,7 +4,8 @@
 //! built from: a generic set-associative cache, the L1 instruction cache,
 //! the shared NUCA LLC with predictor-virtualization reservations, the
 //! 2D-mesh NoC latency model, MSHRs, the hybrid branch direction predictor,
-//! the indirect target cache, the return-address stack, the predecoder, and
+//! the indirect target cache, the return-address stack, the deferred fill
+//! requests of the two-phase tick (with the predecoder's fill latency), and
 //! the Table 1 parameter sets.
 //!
 //! # Example
@@ -32,17 +33,15 @@ mod llc;
 mod mshr;
 mod noc;
 mod params;
-mod predecode;
 mod ras;
 
 pub use cache::SetAssocCache;
 pub use direction::HybridDirectionPredictor;
-pub use fill::{FillKind, FillRequest, PENDING_FILL};
+pub use fill::{FillKind, FillRequest, DEFAULT_PREDECODE_LATENCY, PENDING_FILL};
 pub use indirect::IndirectTargetCache;
 pub use l1i::L1ICache;
 pub use llc::SharedLlc;
 pub use mshr::MshrFile;
 pub use noc::MeshNoc;
 pub use params::{CoreParams, MemParams};
-pub use predecode::{Predecoder, DEFAULT_PREDECODE_LATENCY};
 pub use ras::ReturnAddressStack;
