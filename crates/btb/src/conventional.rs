@@ -202,13 +202,6 @@ impl BtbDesign for ConventionalBtb {
         }
         profile
     }
-
-    fn reset(&mut self) {
-        self.main.clear();
-        if let Some(v) = &mut self.victim {
-            v.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -293,13 +286,5 @@ mod tests {
         let kib = btb.storage().dedicated_kib();
         // Paper: ~140 KB for the 16K-entry table.
         assert!((135.0..148.0).contains(&kib), "got {kib} KiB");
-    }
-
-    #[test]
-    fn reset_clears_contents() {
-        let mut btb = ConventionalBtb::new("t", 64, 4, 8).unwrap();
-        btb.update(&resolved(0x1000, 0x1008, 0x2000));
-        btb.reset();
-        assert!(!btb.lookup(VAddr::new(0x1000), VAddr::new(0x1008)).hit);
     }
 }

@@ -98,9 +98,6 @@ pub trait BtbDesign: Send {
 
     /// Storage footprint for the area model.
     fn storage(&self) -> StorageProfile;
-
-    /// Resets dynamic content (not configuration).
-    fn reset(&mut self);
 }
 
 /// Returns the number of tag bits for a set-associative structure tagged

@@ -44,10 +44,6 @@ impl BtbDesign for IdealBtb {
     fn storage(&self) -> StorageProfile {
         self.inner.storage()
     }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
 }
 
 /// A perfect BTB: every basic block is always delineated correctly with a
@@ -89,8 +85,6 @@ impl BtbDesign for PerfectBtb {
     fn storage(&self) -> StorageProfile {
         StorageProfile::empty()
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

@@ -269,18 +269,6 @@ impl BtbDesign for PhantomBtb {
         // Virtualized: 4K LLC lines of temporal groups, shared across cores.
         profile.with_llc_resident((GROUP_TABLE_LINES * 64) as u64)
     }
-
-    fn reset(&mut self) {
-        self.l1.reset();
-        self.prefetch_buffer.clear();
-        self.group_log.clear();
-        self.log_head = 0;
-        self.index.clear();
-        self.forming.clear();
-        self.chase = None;
-        self.inflight.clear();
-        self.now = 0;
-    }
 }
 
 fn direct_target(entry: ConvEntry) -> Option<VAddr> {
@@ -432,16 +420,5 @@ mod tests {
             "got {} KiB",
             p.dedicated_kib()
         );
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut btb = PhantomBtb::new(4, 8, 1).unwrap();
-        for i in 0..12 {
-            btb.update(&resolved(0x1000 + i * 0x100));
-        }
-        btb.reset();
-        assert_eq!(btb.stored_groups(), 0);
-        assert!(!btb.lookup(VAddr::new(0x1000), VAddr::new(0x1004)).hit);
     }
 }

@@ -94,11 +94,6 @@ impl BtbDesign for TwoLevelBtb {
         }
         l1.merge(l2)
     }
-
-    fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-    }
 }
 
 #[cfg(test)]

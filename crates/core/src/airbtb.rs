@@ -464,16 +464,6 @@ impl BtbDesign for AirBtb {
         }
         p
     }
-
-    fn reset(&mut self) {
-        self.synced.clear();
-        self.standalone.clear();
-        if let Some(of) = &mut self.overflow {
-            of.clear();
-        }
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 fn entry_outcome(e: &BundleEntry) -> BtbOutcome {
@@ -679,16 +669,5 @@ mod tests {
             (1.5..3.0).contains(&delta),
             "B:4 adds {delta} KiB (paper: ~2 KB)"
         );
-    }
-
-    #[test]
-    fn reset_clears_contents_and_counters() {
-        let mut btb = AirBtb::paper_config();
-        let block = BlockAddr::from_raw(0x40);
-        btb.on_l1i_fill(block, &branches_3());
-        btb.lookup(block.base(), block.instr(1));
-        btb.reset();
-        assert_eq!(btb.hits(), 0);
-        assert!(!btb.lookup(block.base(), block.instr(1)).hit);
     }
 }

@@ -50,12 +50,6 @@ impl Fdp {
     pub fn storage(&self) -> StorageProfile {
         StorageProfile::empty()
     }
-
-    /// Clears statistics.
-    pub fn reset(&mut self) {
-        self.issued = 0;
-        self.recent = None;
-    }
 }
 
 #[cfg(test)]
@@ -86,14 +80,5 @@ mod tests {
     #[test]
     fn no_storage_overhead() {
         assert_eq!(Fdp::new().storage().dedicated_bits(), 0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut fdp = Fdp::new();
-        let mut out = Vec::new();
-        fdp.on_region_enqueued(FetchRegion::new(VAddr::new(0x1000), 1), &mut out);
-        fdp.reset();
-        assert_eq!(fdp.issued(), 0);
     }
 }

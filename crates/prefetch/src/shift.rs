@@ -258,13 +258,6 @@ impl ShiftHistory {
             .with_llc_resident(history_bytes)
             .with_llc_tag_extension(index_bytes)
     }
-
-    /// Clears all recorded history.
-    pub fn reset(&mut self) {
-        self.head_seq = 0;
-        self.index.clear();
-        self.last_recorded = None;
-    }
 }
 
 impl Default for ShiftHistory {
@@ -435,15 +428,6 @@ impl ShiftEngine {
     /// Stream re-index events (off-stream misses).
     pub fn redirects(&self) -> u64 {
         self.redirects
-    }
-
-    /// Clears per-core stream state.
-    pub fn reset(&mut self) {
-        self.cursor = None;
-        self.pending.clear();
-        self.issued = 0;
-        self.confirmed = 0;
-        self.redirects = 0;
     }
 }
 
@@ -655,17 +639,5 @@ mod tests {
         assert!(!reader.record(BlockAddr::from_raw(2)));
         assert!(reader.history().lookup(BlockAddr::from_raw(2)).is_none());
         assert_eq!(h.len(), 1, "reader views must never mutate");
-    }
-
-    #[test]
-    fn reset_clears_history_and_engine() {
-        let mut h = ShiftHistory::with_capacity(8);
-        h.record(BlockAddr::from_raw(1));
-        h.reset();
-        assert!(h.is_empty());
-        assert!(h.lookup(BlockAddr::from_raw(1)).is_none());
-        let mut e = ShiftEngine::new();
-        e.reset();
-        assert_eq!(e.issued(), 0);
     }
 }

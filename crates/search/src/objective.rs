@@ -482,6 +482,27 @@ mod tests {
     }
 
     #[test]
+    fn every_probe_is_within_the_daemon_size_limits() {
+        for cfg in [ExperimentConfig::quick(), ExperimentConfig::full()] {
+            for study in registry() {
+                let points: Vec<Point> = match study.axis_lens()[..] {
+                    [a] => (0..a).map(|i| vec![i]).collect(),
+                    [a, b] => (0..a)
+                        .flat_map(|i| (0..b).map(move |j| vec![i, j]))
+                        .collect(),
+                    ref lens => panic!("{}: unexpected axes {lens:?}", study.name),
+                };
+                for point in &points {
+                    for job in plan(&Workload::ALL, |r| study.evaluate(point, r, &cfg)) {
+                        job.check_sizes()
+                            .unwrap_or_else(|e| panic!("{}: probe refused: {e}", study.name));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn labels_match_the_sweep_axis_style() {
         let study = find("min-btb-capacity").unwrap();
         assert_eq!(study.point_label(&vec![0]), "512");

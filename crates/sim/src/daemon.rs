@@ -117,6 +117,11 @@ impl BatchHost for EngineHost {
                 format!("daemon serves no workload {workload:?}"),
             ));
         }
+        // A failed allocation aborts the process, which no unwind catches,
+        // so a job whose fields would size a table past its limit is
+        // refused before the engine sees it.
+        job.check_sizes()
+            .map_err(|e| Rejection::new(ErrorCode::MalformedJob, format!("job refused: {e}")))?;
         // A panicking job must stay a connection-scoped failure, not a
         // daemon crash. The engine's slot bookkeeping survives the
         // unwind (waiters on the key re-panic and land here too).

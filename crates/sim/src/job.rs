@@ -189,6 +189,95 @@ impl Job {
             Job::Coverage(_) | Job::Density(_) => 1,
         }
     }
+
+    /// Checks every table-sizing field against a fixed limit.
+    ///
+    /// Running a job allocates its tables from these fields, and a failed
+    /// allocation aborts the process instead of unwinding, so the daemon
+    /// refuses an oversized job before the engine sees it. Each limit sits
+    /// far above what the suite, the sweeps and the search studies plan
+    /// (at most 16 cores, 128K history entries, a 64K-entry BTB, 512
+    /// bundles, a 128 KB L1-I and 128K LLC lines).
+    ///
+    /// # Errors
+    ///
+    /// Names the first field above its limit.
+    pub fn check_sizes(&self) -> Result<(), String> {
+        /// Core counts.
+        const CORES: usize = 256;
+        /// Entry and line counts of the large tables.
+        const ENTRIES: usize = 1 << 22;
+        /// Ways, MSHRs, queue and buffer slots, widths, lookahead and
+        /// entries per bundle.
+        const SMALL: usize = 1 << 12;
+        /// Cache capacities in bytes.
+        const BYTES: usize = 1 << 26;
+        /// AirBTB bundles: each one reserves its entry vector up front.
+        const BUNDLES: usize = 1 << 16;
+
+        let at_most = |name: &str, value: usize, limit: usize| {
+            if value > limit {
+                Err(format!("{name} = {value} exceeds {limit}"))
+            } else {
+                Ok(())
+            }
+        };
+        match self {
+            Job::Coverage(j) => {
+                let o = &j.opts;
+                at_most("history_entries", o.history_entries, ENTRIES)?;
+                at_most("l1i_kb", o.l1i_kb, BYTES >> 10)?;
+                at_most("shift_lookahead", o.shift_lookahead, SMALL)?;
+                match j.btb {
+                    BtbSpec::Conventional {
+                        entries,
+                        ways,
+                        victim_entries,
+                    } => {
+                        at_most("btb entries", entries, ENTRIES)?;
+                        at_most("btb ways", ways, SMALL)?;
+                        at_most("btb victim_entries", victim_entries, ENTRIES)
+                    }
+                    BtbSpec::AirBtb {
+                        bundles,
+                        bundle_entries,
+                        overflow_entries,
+                        ..
+                    } => {
+                        at_most("airbtb bundles", bundles, BUNDLES)?;
+                        at_most("airbtb bundle_entries", bundle_entries, SMALL)?;
+                        at_most("airbtb overflow_entries", overflow_entries, ENTRIES)
+                    }
+                    _ => Ok(()),
+                }
+            }
+            Job::Timing(j) => {
+                let (c, m) = (&j.cfg.core, &j.cfg.mem);
+                at_most("cores", j.cfg.cores, CORES)?;
+                at_most("history_entries", j.cfg.history_entries, ENTRIES)?;
+                at_most("fetch_queue_regions", c.fetch_queue_regions, SMALL)?;
+                at_most("instr_buffer", c.instr_buffer, SMALL)?;
+                at_most("retire_width", c.retire_width, SMALL)?;
+                at_most("fetch_width", c.fetch_width, SMALL)?;
+                at_most("mem.cores", m.cores, CORES)?;
+                at_most("l1i_bytes", m.l1i_bytes, BYTES)?;
+                at_most("l1i_ways", m.l1i_ways, SMALL)?;
+                at_most("l1i_mshrs", m.l1i_mshrs, SMALL)?;
+                at_most("llc_slice_bytes", m.llc_slice_bytes, BYTES)?;
+                at_most("llc_ways", m.llc_ways, SMALL)?;
+                at_most("block_bytes", m.block_bytes, SMALL)?;
+                // The LLC's line count is the product of three fields; a
+                // zero block size reads as unbounded.
+                let llc_lines = m
+                    .llc_slice_bytes
+                    .saturating_mul(m.cores)
+                    .checked_div(m.block_bytes)
+                    .unwrap_or(usize::MAX);
+                at_most("LLC lines", llc_lines, ENTRIES)
+            }
+            Job::Density(_) => Ok(()),
+        }
+    }
 }
 
 impl From<CoverageJob> for Job {
@@ -289,5 +378,76 @@ mod tests {
             let btb = spec.build(&program);
             assert!(!btb.name().is_empty());
         }
+    }
+
+    #[test]
+    fn every_planned_job_is_within_the_size_limits() {
+        use crate::experiments::{all_jobs, ExperimentConfig};
+        use crate::SimEngine;
+        let program = Arc::new(Program::generate(&confluence_trace::WorkloadSpec::tiny()).unwrap());
+        let engine = SimEngine::new(Workload::ALL.map(|w| (w, Arc::clone(&program))).to_vec());
+        for cfg in [ExperimentConfig::quick(), ExperimentConfig::full()] {
+            let jobs = all_jobs(&engine, &cfg);
+            assert!(jobs.len() > 300, "the suite plans its sweeps too");
+            for job in &jobs {
+                job.check_sizes()
+                    .unwrap_or_else(|e| panic!("planned job refused: {e}: {job:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_fields_are_refused() {
+        let timing = |edit: fn(&mut TimingConfig)| {
+            let mut cfg = TimingConfig::quick();
+            edit(&mut cfg);
+            Job::Timing(TimingJob {
+                workload: Workload::WebFrontend,
+                design: DesignPoint::Baseline,
+                cfg,
+            })
+            .check_sizes()
+        };
+        assert_eq!(timing(|_| {}), Ok(()));
+        let err = timing(|c| c.history_entries = 1 << 44).unwrap_err();
+        assert!(err.starts_with("history_entries"), "{err}");
+        assert!(timing(|c| c.cores = 1 << 20).is_err());
+        assert!(timing(|c| c.core.instr_buffer = usize::MAX).is_err());
+        // Fields that are each in range can still multiply into a huge
+        // LLC, and a zero block size divides into an unbounded one.
+        let err = timing(|c| {
+            c.mem.cores = 256;
+            c.mem.llc_slice_bytes = 1 << 26;
+        })
+        .unwrap_err();
+        assert!(err.starts_with("LLC lines"), "{err}");
+        assert!(timing(|c| c.mem.block_bytes = 0).is_err());
+
+        let coverage = |btb, opts| {
+            Job::Coverage(CoverageJob {
+                workload: Workload::WebFrontend,
+                btb,
+                opts,
+            })
+            .check_sizes()
+        };
+        let big = CoverageOptions {
+            l1i_kb: 1 << 30,
+            ..CoverageOptions::quick()
+        };
+        assert!(coverage(BtbSpec::Baseline1k, big).is_err());
+        let huge_btb = BtbSpec::Conventional {
+            entries: 1 << 40,
+            ways: 4,
+            victim_entries: 0,
+        };
+        assert!(coverage(huge_btb, CoverageOptions::quick()).is_err());
+        let huge_airbtb = BtbSpec::AirBtb {
+            mode: AirBtbMode::Full,
+            bundles: 1 << 30,
+            bundle_entries: 3,
+            overflow_entries: 32,
+        };
+        assert!(coverage(huge_airbtb, CoverageOptions::quick()).is_err());
     }
 }

@@ -12,7 +12,8 @@ use confluence_serve::protocol::{self, Frame};
 use confluence_serve::{Client, ClientError, ErrorCode, Server, ServerHandle};
 use confluence_sim::daemon::{submit_jobs, EngineHost};
 use confluence_sim::{
-    BtbSpec, CoverageJob, CoverageOptions, DensityJob, Job, PeerSet, SimEngine, SCHEMA_VERSION,
+    BtbSpec, CoverageJob, CoverageOptions, DensityJob, DesignPoint, Job, PeerSet, SimEngine,
+    TimingConfig, TimingJob, SCHEMA_VERSION,
 };
 use confluence_store::{Encode, ResultStore};
 use confluence_trace::{Program, Workload, WorkloadSpec};
@@ -298,6 +299,43 @@ fn malformed_traffic_gets_typed_errors_and_never_poisons() {
     let expected = reference_outputs(&jobs);
     let outputs: Vec<Vec<u8>> = jobs.iter().map(|j| local.output(j).to_bytes()).collect();
     assert_eq!(outputs, expected);
+
+    handle.stop().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job whose fields would size a table past any machine's memory is
+/// refused typed before it runs. Run, its failed allocation would abort
+/// the daemon and drop every connection, since no unwind catches an
+/// abort. An honest client is served as before afterwards.
+#[test]
+fn oversized_job_is_refused_and_the_daemon_survives() {
+    let dir = scratch("oversized");
+    let sock = dir.join("daemon.sock");
+    let (host, handle) = spawn_daemon(tiny_engine(), &sock, None);
+
+    let oversized = Job::Timing(TimingJob {
+        workload: Workload::WebFrontend,
+        design: DesignPoint::Baseline,
+        cfg: TimingConfig {
+            history_entries: 1 << 44,
+            ..TimingConfig::quick()
+        },
+    });
+    {
+        let mut client =
+            Client::connect(&sock, SCHEMA_VERSION, host.fingerprint()).expect("handshake");
+        match client.submit(1, vec![tiny_jobs()[0].to_bytes(), oversized.to_bytes()]) {
+            Err(ClientError::Daemon { code, .. }) => assert_eq!(code, ErrorCode::MalformedJob),
+            other => panic!("an oversized job must be a typed refusal, got {other:?}"),
+        }
+    }
+
+    let jobs = tiny_jobs();
+    let local = tiny_engine();
+    submit_jobs(&sock, &local, &jobs).expect("daemon survives the oversized job");
+    let outputs: Vec<Vec<u8>> = jobs.iter().map(|j| local.output(j).to_bytes()).collect();
+    assert_eq!(outputs, reference_outputs(&jobs));
 
     handle.stop().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);

@@ -8,16 +8,19 @@
 //! given program. Following the translate-once idea of DBT engines,
 //! [`CompiledProgram`] folds it out in a single pass:
 //!
-//! * `pc_table` — every plain instruction's fetch address, laid out
-//!   contiguously per fall-through chain. Emitting a run is iterating a
-//!   `u64` slice; fall-through "terminators" vanish entirely.
-//! * `desc` — one 48-byte descriptor per block packing the block's
-//!   `pc_table` run **and** its chain's pre-resolved terminator: dense
-//!   opcode, branch pc, successor id, successor base address, and a
-//!   per-op immediate. Everything a control transfer needs lives on one
-//!   cache line (splitting runs and terminators into separate parallel
-//!   arrays costs 3-4 scattered lines per executed block, which is slower
-//!   than the reference's warm `Bb` line — measured, not theoretical).
+//! * `desc` — one 32-byte descriptor per block: the block's own base
+//!   address **and** its chain's pre-resolved terminator (dense opcode,
+//!   branch pc, successor id and base address, per-op immediate). The
+//!   generator lays a fall-through chain out contiguously, so a block's
+//!   plain run is `base..term_pc` in [`INSTR_BYTES`] steps: no address the
+//!   layout gives is stored, and fall-through "terminators" vanish. A
+//!   branch can enter a chain at any member, so every member carries its
+//!   own `base` with the chain's terminator, and one descriptor load
+//!   serves a whole control transfer (splitting runs and terminators into
+//!   separate parallel arrays costs 3-4 scattered lines per executed
+//!   block, which is slower than the reference's warm `Bb` line —
+//!   measured, not theoretical). Addresses are stored in 32 bits;
+//!   `WorkloadSpec::validate` caps a program's code far below that.
 //! * the back-edge test `target <= site` is static, so conditionals split
 //!   into [`Op::CondForward`] / [`Op::CondBack`] at translation time; a
 //!   forward conditional's taken probability is folded into an exact
@@ -26,7 +29,7 @@
 //!   probability; a call's return-block base address rides in its
 //!   descriptor so returns resolve from the stack alone.
 //! * `spans` + `choices` — indirect-target lists flattened into one
-//!   contiguous array of 16-byte entries with weight totals pre-summed.
+//!   contiguous array of 12-byte entries with weight totals pre-summed.
 //!
 //! [`CompiledExecutor`] then steps these tables with the *identical* RNG
 //! and float-arithmetic sequence as the reference executor (the mixers are
@@ -82,8 +85,8 @@ impl ExecMode {
 #[repr(u8)]
 enum Op {
     /// No branch: execution continues into the next block. Never executed
-    /// (fall-through chains are flattened into `pc_table` runs); present
-    /// only as the pre-chain-pass marker of non-terminator blocks.
+    /// (a fall-through chain is one plain run); present only as the
+    /// pre-chain-pass marker of non-terminator blocks.
     FallThrough = 0,
     /// Forward conditional; `aux` holds the 2^53-scaled taken threshold.
     CondForward = 1,
@@ -125,26 +128,28 @@ impl Op {
     }
 }
 
-/// Per-block descriptor: the block's `pc_table` run plus its chain's
-/// pre-resolved terminator, packed so one cache line serves a whole
-/// control transfer. A branch can target the middle of a fall-through
-/// chain, so every member block carries its own `start` with the shared
-/// chain tail.
+/// Code addresses advance by this much per instruction.
+const STEP: u32 = INSTR_BYTES as u32;
+
+/// Per-block descriptor: the block's own base address plus its chain's
+/// pre-resolved terminator, packed so one 32-byte load serves a whole
+/// control transfer. The block's plain run is `base..term_pc` in
+/// [`INSTR_BYTES`] steps. A branch can target the middle of a
+/// fall-through chain, so every member block carries its own `base` with
+/// the shared chain tail.
 #[derive(Clone, Copy, Debug)]
 struct BlockDesc {
-    /// Fetch address of the chain terminator's branch instruction.
-    term_pc: u64,
-    /// Raw base address of the successor (branch-target field of the
-    /// emitted record; unused by indirects and returns).
-    target_base: u64,
     /// Per-op immediate: the 2^53-scaled taken threshold (`CondForward`),
     /// the trip-count span (`CondBack`), or the return block's base
     /// address (`Call`/`IndirectCall`).
     aux: u64,
-    /// First `pc_table` index of this block's plain instructions.
-    start: u32,
-    /// One past the chain's last `pc_table` index.
-    end: u32,
+    /// Fetch address of this block's first instruction.
+    base: u32,
+    /// Fetch address of the chain terminator's branch instruction.
+    term_pc: u32,
+    /// Raw base address of the successor (branch-target field of the
+    /// emitted record; unused by indirects and returns).
+    target_base: u32,
     /// Block id of the chain terminator (the branch "site").
     site: u32,
     /// Successor block id, or the [`ChoiceSpan`] index for indirects.
@@ -152,6 +157,8 @@ struct BlockDesc {
     /// Dense opcode of the chain terminator.
     op: Op,
 }
+
+const _: () = assert!(std::mem::size_of::<BlockDesc>() == 32);
 
 /// One indirect site's slice of the flattened [`Choice`] table.
 #[derive(Clone, Copy, Debug)]
@@ -165,14 +172,14 @@ struct ChoiceSpan {
     /// Fallback target (the reference's `choices.last()`).
     last_target: u32,
     /// Raw base address of the fallback target.
-    last_base: u64,
+    last_base: u32,
 }
 
 /// One pre-resolved indirect-branch choice.
 #[derive(Clone, Copy, Debug)]
 struct Choice {
     /// Raw base address of the target block.
-    base: u64,
+    base: u32,
     /// Selection weight.
     weight: f32,
     /// Target block id.
@@ -182,18 +189,15 @@ struct Choice {
 /// A [`Program`] translated once into flattened block-stream tables.
 ///
 /// All per-block tables are indexed by dense basic-block id; stepping them
-/// (see [`CompiledExecutor`]) is an index walk with no enum matching and no
-/// per-record address arithmetic. Obtain one via [`Program::compiled`],
-/// which caches the translation per program instance (one compile per
-/// `Arc<Program>` per process).
+/// (see [`CompiledExecutor`]) is an index walk with no enum matching, and
+/// a plain instruction's address is its run's start plus a multiple of
+/// [`INSTR_BYTES`]. Obtain one via [`Program::compiled`], which caches the
+/// translation per program instance (one compile per `Arc<Program>` per
+/// process).
 #[derive(Debug)]
 pub struct CompiledProgram {
-    /// Plain-instruction fetch addresses, contiguous per chain.
-    pc_table: Vec<u64>,
     /// Per-block run + terminator descriptors.
     desc: Vec<BlockDesc>,
-    /// Per-block raw base addresses (scheduler-entry record targets).
-    base: Vec<u64>,
     // Flattened indirect-choice tables.
     spans: Vec<ChoiceSpan>,
     choices: Vec<Choice>,
@@ -227,6 +231,12 @@ fn unit_threshold(prob: f64) -> u64 {
     (prob * (1u64 << 53) as f64).ceil() as u64
 }
 
+/// A code address in the 32 bits the translation stores. The check is
+/// internal: `WorkloadSpec::validate` keeps every program's code below.
+fn code_addr(addr: VAddr) -> u32 {
+    u32::try_from(addr.raw()).expect("code address exceeds 32 bits")
+}
+
 impl CompiledProgram {
     /// Translates a program in one pass over its basic blocks.
     pub fn compile(program: &Program) -> CompiledProgram {
@@ -234,10 +244,10 @@ impl CompiledProgram {
         let n = bbs.len();
         // Block ids travel through u32 tables.
         assert!(n < (1 << 31) as usize, "block id space exceeds 31 bits");
+        // Successor and return addresses by block id, for this pass only.
+        let base: Vec<u32> = bbs.iter().map(|bb| code_addr(bb.base)).collect();
         let mut cp = CompiledProgram {
-            pc_table: Vec::new(),
             desc: Vec::with_capacity(n),
-            base: bbs.iter().map(|bb| bb.base.raw()).collect(),
             spans: Vec::new(),
             choices: Vec::new(),
             request_entries: Vec::new(),
@@ -248,11 +258,11 @@ impl CompiledProgram {
         };
         // First pass: resolve every block's own terminator.
         for (i, bb) in bbs.iter().enumerate() {
-            let ret_base = cp.base.get(i + 1).copied().unwrap_or(0);
+            let ret_base = base.get(i + 1).copied().map_or(0, u64::from);
             let (op, target, target_base, aux) = match &bb.term {
                 Term::FallThrough => (Op::FallThrough, i as u32 + 1, 0, 0),
                 Term::Cond { target, taken_prob } => {
-                    let t_base = cp.base[*target as usize];
+                    let t_base = base[*target as usize];
                     if *target <= i as u32 {
                         // The reference re-derives the trip span from the
                         // taken probability on every execution of the
@@ -270,55 +280,54 @@ impl CompiledProgram {
                         )
                     }
                 }
-                Term::Jump { target } => (Op::Jump, *target, cp.base[*target as usize], 0),
-                Term::Call { callee } => (Op::Call, *callee, cp.base[*callee as usize], ret_base),
-                Term::IndirectCall { choices } => {
-                    (Op::IndirectCall, cp.push_choices(choices), 0, ret_base)
-                }
+                Term::Jump { target } => (Op::Jump, *target, base[*target as usize], 0),
+                Term::Call { callee } => (Op::Call, *callee, base[*callee as usize], ret_base),
+                Term::IndirectCall { choices } => (
+                    Op::IndirectCall,
+                    cp.push_choices(choices, &base),
+                    0,
+                    ret_base,
+                ),
                 Term::IndirectJump { choices } => {
-                    (Op::IndirectJump, cp.push_choices(choices), 0, 0)
+                    (Op::IndirectJump, cp.push_choices(choices, &base), 0, 0)
                 }
                 Term::Return => (Op::Return, 0, 0, 0),
             };
             cp.desc.push(BlockDesc {
-                term_pc: bb.term_pc().raw(),
-                target_base,
                 aux,
-                start: 0,
-                end: 0,
+                base: base[i],
+                term_pc: code_addr(bb.term_pc()),
+                target_base,
                 site: i as u32,
                 target,
                 op,
             });
         }
 
-        // Second pass: flatten fall-through chains into contiguous pc runs
-        // and stamp every member block with its chain's terminator.
+        // Second pass: stamp every member block of a fall-through chain
+        // with its chain's terminator, keeping the block's own base.
         let mut head = 0;
         while head < n {
             let mut j = head;
-            loop {
-                cp.desc[j].start = cp.pc_table.len() as u32;
-                let base = cp.base[j];
-                for k in 0..bbs[j].plain as u64 {
-                    cp.pc_table.push(base + k * INSTR_BYTES as u64);
-                }
-                if cp.desc[j].op != Op::FallThrough {
-                    break;
-                }
+            while cp.desc[j].op == Op::FallThrough {
                 j += 1;
                 assert!(j < n, "program ends in a fall-through chain");
+                // A chain's plain instructions form one address range: the
+                // generator aligns its cursor only after a terminator, so a
+                // fall-through block's successor starts right after it.
+                assert_eq!(
+                    base[j],
+                    base[j - 1] + u32::from(bbs[j - 1].plain) * STEP,
+                    "fall-through block {} is not contiguous with its successor",
+                    j - 1
+                );
             }
-            let end = cp.pc_table.len() as u32;
             let term = cp.desc[j];
-            for d in &mut cp.desc[head..=j] {
-                d.end = end;
-                d.site = term.site;
-                d.op = term.op;
-                d.term_pc = term.term_pc;
-                d.target = term.target;
-                d.target_base = term.target_base;
-                d.aux = term.aux;
+            for d in &mut cp.desc[head..j] {
+                *d = BlockDesc {
+                    base: d.base,
+                    ..term
+                };
             }
             head = j + 1;
         }
@@ -343,14 +352,14 @@ impl CompiledProgram {
         cp
     }
 
-    fn push_choices(&mut self, choices: &[(u32, f32)]) -> u32 {
+    fn push_choices(&mut self, choices: &[(u32, f32)], base: &[u32]) -> u32 {
         let start = self.choices.len() as u32;
         // Summed in the same iteration order as the reference's
         // `choices.iter().map(|&(_, w)| w).sum::<f32>()`.
         let mut total = 0.0f32;
         for &(t, w) in choices {
             self.choices.push(Choice {
-                base: self.base[t as usize],
+                base: base[t as usize],
                 weight: w,
                 target: t,
             });
@@ -363,7 +372,7 @@ impl CompiledProgram {
             len: choices.len() as u32,
             total,
             last_target,
-            last_base: self.base[last_target as usize],
+            last_base: base[last_target as usize],
         });
         span_idx
     }
@@ -391,21 +400,22 @@ impl CompiledProgram {
 /// of [`Executor`], bit-identical to it record for record.
 ///
 /// Beyond the pull-based [`CompiledExecutor::next_record`], the batch entry
-/// point [`CompiledExecutor::for_each_record`] emits whole plain runs by
-/// iterating `pc_table` slices — that internal iteration is where the
-/// throughput win over the reference executor comes from.
+/// point [`CompiledExecutor::for_each_record`] emits whole plain runs in
+/// one counted loop — that internal iteration is where the throughput win
+/// over the reference executor comes from.
 #[derive(Clone, Debug)]
 pub struct CompiledExecutor<'c> {
     cp: &'c CompiledProgram,
-    /// Next `pc_table` index of the current run.
-    run_idx: u32,
+    /// Fetch address of the current run's next plain instruction; the run
+    /// ends at `cur.term_pc`.
+    run_pc: u32,
     /// Descriptor of the current chain, copied out on entry so the stepping
     /// loop and terminator read executor-local state.
     cur: BlockDesc,
     rng: DetRng,
     /// Return-address stack of `(block id, block base)` pairs; the base
     /// rides along so returns never touch the per-block tables.
-    stack: Vec<(u32, u64)>,
+    stack: Vec<(u32, u32)>,
     /// Per-request flavor; see [`Executor`] for the recurrence model.
     flavor: u64,
     /// Active back-edge state: `(site, trip << 32 | counter)` pairs,
@@ -438,7 +448,7 @@ pub struct CompiledExecutor<'c> {
     /// Staged `CondBack`: trip count for a newly entered loop.
     pre_trip: u64,
     /// Staged branch-target address of the emitted record.
-    pre_target: u64,
+    pre_target: u32,
     /// Staged descriptor of the successor chain, loaded at stage time so
     /// the load overlaps the current run's emission instead of serializing
     /// behind the run-exit branch.
@@ -452,7 +462,7 @@ impl<'c> CompiledExecutor<'c> {
         let mut rng = DetRng::seed_from(seed ^ 0xE8EC_u64.rotate_left(32));
         let mut ex = CompiledExecutor {
             cp,
-            run_idx: 0,
+            run_pc: 0,
             cur: cp.desc[0],
             rng: rng.fork(1),
             stack: Vec::with_capacity(64),
@@ -500,7 +510,7 @@ impl<'c> CompiledExecutor<'c> {
     #[inline]
     fn enter(&mut self, bb: u32) {
         self.cur = self.cp.desc[bb as usize];
-        self.run_idx = self.cur.start;
+        self.run_pc = self.cur.base;
         self.stage();
     }
 
@@ -509,7 +519,7 @@ impl<'c> CompiledExecutor<'c> {
     #[inline]
     fn advance(&mut self) {
         self.cur = self.next_cur;
-        self.run_idx = self.cur.start;
+        self.run_pc = self.cur.base;
         self.stage();
     }
 
@@ -572,7 +582,7 @@ impl<'c> CompiledExecutor<'c> {
                     None => {
                         let next = self.schedule_next();
                         self.pre_next = next;
-                        self.pre_target = self.cp.base[next as usize];
+                        self.pre_target = self.cp.desc[next as usize].base;
                     }
                 }
             }
@@ -604,7 +614,7 @@ impl<'c> CompiledExecutor<'c> {
     /// Weighted indirect-target pick; mirrors `Executor::pick_weighted`
     /// (same f32 subtraction loop, same fallback).
     #[inline]
-    fn pick(&self, site: u32, span_idx: u32) -> (u32, u64) {
+    fn pick(&self, site: u32, span_idx: u32) -> (u32, u32) {
         let cp = self.cp;
         let s = cp.spans[span_idx as usize];
         let unit = site_unit(self.flavor, site, 0x1D1) as f32;
@@ -647,7 +657,8 @@ impl<'c> CompiledExecutor<'c> {
                     }
                 }
             }
-            Op::Call | Op::IndirectCall => self.push_return(d.site + 1, d.aux),
+            // `aux` holds the return block's 32-bit base here.
+            Op::Call | Op::IndirectCall => self.push_return(d.site + 1, d.aux as u32),
             Op::Return => {
                 if self.stack.pop().is_none() {
                     // The replacement routine was already scheduled at
@@ -661,15 +672,15 @@ impl<'c> CompiledExecutor<'c> {
         self.advance();
         self.instr_count += 1;
         TraceRecord::branch(
-            VAddr::new(d.term_pc),
+            VAddr::new(d.term_pc.into()),
             d.op.kind(),
             taken,
-            VAddr::new(target),
+            VAddr::new(target.into()),
         )
     }
 
     #[inline]
-    fn push_return(&mut self, ret_bb: u32, ret_base: u64) {
+    fn push_return(&mut self, ret_bb: u32, ret_base: u32) {
         debug_assert!(self.stack.len() < STACK_GUARD, "runaway call depth");
         self.stack.push((ret_bb, ret_base));
     }
@@ -677,34 +688,33 @@ impl<'c> CompiledExecutor<'c> {
     /// Produces the next committed instruction.
     #[inline]
     pub fn next_record(&mut self) -> Option<TraceRecord> {
-        if self.run_idx < self.cur.end {
-            let pc = self.cp.pc_table[self.run_idx as usize];
-            self.run_idx += 1;
+        if self.run_pc < self.cur.term_pc {
+            let pc = self.run_pc;
+            self.run_pc += STEP;
             self.instr_count += 1;
-            return Some(TraceRecord::plain(VAddr::new(pc)));
+            return Some(TraceRecord::plain(VAddr::new(pc.into())));
         }
         Some(self.terminate())
     }
 
     /// Emits the next `n` records through `f` (batch stepping).
     ///
-    /// Plain runs are emitted by iterating the chain's contiguous
-    /// `pc_table` slice — one bounds check per run, no per-instruction
-    /// state — which is what buys the fast path its throughput; the
-    /// records and executor state are identical to `n` calls of
-    /// [`CompiledExecutor::next_record`].
+    /// A plain run is emitted by one counted loop over its addresses — no
+    /// table reads, no per-instruction state — which is what buys the fast
+    /// path its throughput; the records and executor state are identical
+    /// to `n` calls of [`CompiledExecutor::next_record`].
     #[inline]
     pub fn for_each_record(&mut self, n: u64, mut f: impl FnMut(TraceRecord)) {
         let mut left = n;
         while left > 0 {
-            let avail = (self.cur.end - self.run_idx) as u64;
+            let avail = u64::from((self.cur.term_pc - self.run_pc) / STEP);
             if avail > 0 {
                 let run = avail.min(left);
-                let start = self.run_idx as usize;
-                for &pc in &self.cp.pc_table[start..start + run as usize] {
-                    f(TraceRecord::plain(VAddr::new(pc)));
+                let start = u64::from(self.run_pc);
+                for k in 0..run {
+                    f(TraceRecord::plain(VAddr::new(start + k * u64::from(STEP))));
                 }
-                self.run_idx += run as u32;
+                self.run_pc += run as u32 * STEP;
                 self.instr_count += run;
                 left -= run;
                 if left == 0 {

@@ -3,6 +3,12 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Largest `target_code_kb` a spec may ask for: 1 GiB of code. The
+/// compiled translation stores code addresses in 32 bits, and code is
+/// laid out from 1 GiB up, so even a program three times its target size
+/// stays below 2^32. The presets ask for 3,400–8,500 KB.
+const MAX_CODE_KB: usize = 1 << 20;
+
 /// The five server workload classes evaluated in the paper (Table 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Workload {
@@ -380,8 +386,8 @@ impl WorkloadSpec {
     /// # Errors
     ///
     /// Returns [`confluence_types::ConfigError`] if probabilities are out of
-    /// range, the terminator mix does not sum to ~1, or structural sizes are
-    /// zero.
+    /// range, the terminator mix does not sum to ~1, structural sizes are
+    /// zero, or the code size exceeds 1 GiB.
     pub fn validate(&self) -> Result<(), confluence_types::ConfigError> {
         use confluence_types::ConfigError;
         let probs = [
@@ -424,6 +430,12 @@ impl WorkloadSpec {
         }
         if self.target_code_kb < 16 {
             return Err(ConfigError::new("target_code_kb must be at least 16"));
+        }
+        if self.target_code_kb > MAX_CODE_KB {
+            return Err(ConfigError::new(format!(
+                "target_code_kb = {} exceeds {MAX_CODE_KB} (1 GiB of code)",
+                self.target_code_kb
+            )));
         }
         if self.indirect_fanout.0 < 1 || self.indirect_fanout.0 > self.indirect_fanout.1 {
             return Err(ConfigError::new("indirect_fanout range invalid"));
@@ -479,6 +491,21 @@ mod tests {
         assert!(s.validate().is_err());
         let mut s = WorkloadSpec::base();
         s.target_code_kb = 4;
+        assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validate_caps_code_below_32_bit_addresses() {
+        let mut s = WorkloadSpec::base();
+        s.target_code_kb = MAX_CODE_KB;
+        s.validate().expect("1 GiB of code is allowed");
+        s.target_code_kb = MAX_CODE_KB + 1;
+        let err = s
+            .validate()
+            .expect_err("more than 1 GiB of code is refused");
+        assert!(err.to_string().contains("target_code_kb"), "{err}");
+        // Code that would reach 2^32 is refused before any generation.
+        s.target_code_kb = 4 << 20;
         assert!(s.validate().is_err());
     }
 

@@ -230,13 +230,6 @@ impl<V> SetAssocCache<V> {
             .iter()
             .flat_map(|s| s.iter().map(|l| (l.key, &l.value)))
     }
-
-    /// Clears all lines.
-    pub fn clear(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -336,13 +329,5 @@ mod tests {
         }
         c.retain(|k, _| k % 2 == 0);
         assert_eq!(c.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec![4, 2]);
-    }
-
-    #[test]
-    fn clear_empties_cache() {
-        let mut c = SetAssocCache::new(2, 2).unwrap();
-        c.insert(1, ());
-        c.clear();
-        assert!(c.is_empty());
     }
 }

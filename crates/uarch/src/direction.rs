@@ -112,14 +112,6 @@ impl HybridDirectionPredictor {
         self.gshare[gi].update(taken);
         self.history = ((self.history << 1) | u64::from(taken)) & ((1 << self.history_bits) - 1);
     }
-
-    /// Clears learned state (tables to weakly-taken, history to zero).
-    pub fn reset(&mut self) {
-        self.bimodal.fill(Counter2::WEAK_NOT_TAKEN);
-        self.gshare.fill(Counter2::WEAK_NOT_TAKEN);
-        self.meta.fill(Counter2::WEAK_NOT_TAKEN);
-        self.history = 0;
-    }
 }
 
 #[cfg(test)]
@@ -183,17 +175,5 @@ mod tests {
         }
         let acc = correct as f64 / total as f64;
         assert!(acc > 0.85, "accuracy {acc}");
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut bp = HybridDirectionPredictor::with_entries(128);
-        let pc = VAddr::new(0x100);
-        for _ in 0..8 {
-            bp.update(pc, true);
-        }
-        bp.reset();
-        // Weakly-not-taken initial state predicts not-taken.
-        assert!(!bp.predict(pc));
     }
 }

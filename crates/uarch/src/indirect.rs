@@ -55,12 +55,6 @@ impl IndirectTargetCache {
         self.entries[idx] = Some((Self::tag(pc), target));
         self.path_history = (self.path_history << 4) ^ (target.raw() >> 2) & 0xFFFF;
     }
-
-    /// Clears all entries and history.
-    pub fn reset(&mut self) {
-        self.entries.fill(None);
-        self.path_history = 0;
-    }
 }
 
 #[cfg(test)]
@@ -80,14 +74,6 @@ mod tests {
     #[test]
     fn miss_without_entry() {
         let itc = IndirectTargetCache::with_entries(64);
-        assert_eq!(itc.predict(VAddr::new(0x100)), None);
-    }
-
-    #[test]
-    fn reset_clears_entries() {
-        let mut itc = IndirectTargetCache::with_entries(64);
-        itc.update(VAddr::new(0x100), VAddr::new(0x200));
-        itc.reset();
         assert_eq!(itc.predict(VAddr::new(0x100)), None);
     }
 

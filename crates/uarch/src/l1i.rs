@@ -106,12 +106,6 @@ impl L1ICache {
         }
     }
 
-    /// Resets counters (not contents); used after warm-up.
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Iterates over resident blocks.
     pub fn resident_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
         self.cache.iter().map(|(k, _)| BlockAddr::from_raw(k))
@@ -169,14 +163,5 @@ mod tests {
         c.fill(BlockAddr::from_raw(2));
         let evicted = c.fill(BlockAddr::from_raw(3));
         assert_eq!(evicted, Some(BlockAddr::from_raw(1)));
-    }
-
-    #[test]
-    fn counters_reset() {
-        let mut c = L1ICache::new(2, 2).unwrap();
-        c.access(BlockAddr::from_raw(0));
-        c.reset_counters();
-        assert_eq!(c.misses(), 0);
-        assert_eq!(c.miss_ratio(), 0.0);
     }
 }

@@ -115,12 +115,6 @@ impl SharedLlc {
         self.misses
     }
 
-    /// Resets counters (not contents).
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// The underlying mesh model.
     pub fn noc(&self) -> &MeshNoc {
         &self.noc

@@ -92,11 +92,6 @@ impl MshrFile {
             }
         });
     }
-
-    /// Clears all entries.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -152,13 +147,5 @@ mod tests {
     #[should_panic(expected = "without a pending allocation")]
     fn commit_without_request_panics() {
         MshrFile::new(2).commit_ready(BlockAddr::from_raw(1), 3);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut m = MshrFile::new(2);
-        m.allocate(BlockAddr::from_raw(1), 10);
-        m.clear();
-        assert_eq!(m.outstanding(), 0);
     }
 }

@@ -60,12 +60,6 @@ impl ReturnAddressStack {
     pub fn depth(&self) -> usize {
         self.depth
     }
-
-    /// Empties the stack.
-    pub fn clear(&mut self) {
-        self.depth = 0;
-        self.top = 0;
-    }
 }
 
 #[cfg(test)]
@@ -99,13 +93,5 @@ mod tests {
         ras.push(VAddr::new(0x44));
         assert_eq!(ras.peek(), Some(VAddr::new(0x44)));
         assert_eq!(ras.depth(), 1);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut ras = ReturnAddressStack::with_capacity(4);
-        ras.push(VAddr::new(0x44));
-        ras.clear();
-        assert_eq!(ras.pop(), None);
     }
 }

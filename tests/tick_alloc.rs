@@ -8,7 +8,10 @@
 //! divides the extra allocations by the extra core-cycles. A compiled
 //! record stream is held to bytes instead: ten times the records may
 //! cost only a few kilobytes more, so an executor's memory cannot grow
-//! with the length of the stream.
+//! with the length of the stream. The translation it steps is held to
+//! bytes per basic block: it stores one 32-byte descriptor per block and
+//! derives every plain instruction's address from its block's base, so
+//! a table of addresses that the layout already gives shows up here.
 //!
 //! The counting allocator is this binary's global allocator, which is why
 //! the tests live in a test binary of their own. It counts only on the
@@ -166,4 +169,31 @@ fn record_stream_memory_stays_flat() {
         long.saturating_sub(short),
         STREAM_RECORDS[1] - STREAM_RECORDS[0]
     );
+}
+
+/// Requested bytes a translation may cost per basic block: the 32-byte
+/// descriptor, the compile pass's own table of block bases and the
+/// indirect-choice tables come to 39-41. A translation that also stored
+/// every plain instruction's address cost 136-162.
+const MAX_TRANSLATION_BYTES_PER_BLOCK: f64 = 48.0;
+
+#[test]
+fn translation_stores_about_one_descriptor_per_block() {
+    for spec in [WorkloadSpec::base(), WorkloadSpec::base().with_code_kb(96)] {
+        let program = Program::generate(&spec).unwrap();
+        let (cp, _, bytes) = counted(|| CompiledProgram::compile(&program));
+        let blocks = cp.block_count();
+        let per_block = bytes as f64 / blocks as f64;
+        eprintln!(
+            "{} KB of code: {bytes} bytes requested for {blocks} blocks, \
+             {per_block:.1} per block",
+            spec.target_code_kb
+        );
+        assert!(
+            per_block <= MAX_TRANSLATION_BYTES_PER_BLOCK,
+            "translating {} KB of code requested {per_block:.1} bytes per block \
+             (at most {MAX_TRANSLATION_BYTES_PER_BLOCK} allowed)",
+            spec.target_code_kb
+        );
+    }
 }
